@@ -20,9 +20,7 @@ from .core import (
     indicator,
     inf,
     lift,
-    make_space,
     sup,
-    transformation_from_labels,
 )
 from .errors import (
     CapExceededError,
@@ -53,7 +51,7 @@ from .previsions import (
     upper_extension,
 )
 from .rationals import format_rational, frac, parse_rational
-from .solver import Constraint, LPResult, SimplexLP, enumerate_vertices, solve_fractional_min, solve_min
+from .solver import Constraint, LPResult, SimplexLP, enumerate_vertices, solve_fractional_min, solve_min, solve_minmax
 from .transforms import (
     InvariantAtoms,
     MonoidFlags,

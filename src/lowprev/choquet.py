@@ -51,6 +51,7 @@ class SetFunction:
         object.__setattr__(
             self, "values", tuple(sorted(table.items(), key=lambda kv: sorted(kv[0])))
         )
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_dict(cls, space: Space, table) -> "SetFunction":
@@ -61,10 +62,10 @@ class SetFunction:
 
     def __call__(self, members) -> Fraction:
         key = frozenset(members)
-        for k, v in self.values:
-            if k == key:
-                return v
-        raise KeyError(f"event {sorted(key)} outside the domain")
+        try:
+            return self._table[key]
+        except KeyError:
+            raise KeyError(f"event {sorted(key)} outside the domain") from None
 
     def is_monotone(self) -> bool:
         return all(

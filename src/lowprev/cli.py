@@ -188,6 +188,8 @@ def _cmd_mixture(args, report: Report) -> int:
     model = parse_assessment(report.read(args.model))
     mon = parse_monoid(report.read(args.monoid), model.space)
     g = parse_gamble(report.read(args.gamble), model.space)
+    if args.depth < 0:
+        raise ValidationError("--depth", "word depth must be >= 0")
     report.rational(mixture_lower_prevision(model, mon, g, args.depth), args.decimal)
     report.diagnostics.append(f"depth={args.depth}")
     return report.emit(0)
@@ -195,6 +197,8 @@ def _cmd_mixture(args, report: Report) -> int:
 
 def _cmd_shift(args, report: Report) -> int:
     seq = parse_natgamble(report.read(args.natgamble))
+    if args.nmax < 1:
+        raise ValidationError("--nmax", "window length or modulus must be >= 1")
     if args.trunc is not None:
         if not isinstance(seq, Truncated):
             raise ValidationError("--trunc", "only truncated gambles can be re-truncated")

@@ -44,10 +44,6 @@ class Space:
         return len(self.outcomes)
 
 
-def make_space(outcomes: Iterable) -> Space:
-    return Space(tuple(str(x) for x in outcomes))
-
-
 def _check_same_space(a, b):
     if a.space != b.space:
         raise SpaceMismatchError(f"{a!r} and {b!r} live on different spaces")
@@ -143,9 +139,6 @@ class Event:
             raise ValueError(f"labels {sorted(unknown)} are not outcomes of the space")
         object.__setattr__(self, "members", members)
 
-    def complement(self) -> "Event":
-        return Event(self.space, frozenset(self.space.outcomes) - self.members)
-
     def __contains__(self, label: str) -> bool:
         return label in self.members
 
@@ -186,12 +179,6 @@ class Transformation:
         _check_same_space(self, other)
         return Transformation(self.space, tuple(self.image[j] for j in other.image))
 
-    def power(self, n: int) -> "Transformation":
-        result = identity(self.space)
-        for _ in range(n):
-            result = self.compose(result)
-        return result
-
     def is_permutation(self) -> bool:
         return len(set(self.image)) == self.space.size
 
@@ -209,10 +196,6 @@ def identity(space: Space) -> Transformation:
 
 def constant_map(space: Space, label: str) -> Transformation:
     return Transformation(space, (space.index(label),) * space.size)
-
-
-def transformation_from_labels(space: Space, mapping: dict[str, str]) -> Transformation:
-    return Transformation(space, tuple(space.index(mapping[x]) for x in space))
 
 
 def lift(t: Transformation, f: Gamble) -> Gamble:

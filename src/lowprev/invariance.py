@@ -3,10 +3,16 @@
 Weak invariance is symmetry *of* the model: the credal set is mapped into
 itself by every transformation.  Strong invariance models a belief *of*
 symmetry: every dominating prevision is fixed by every transformation.
-On a finite space both reduce to exact checks on the credal polytope's
-vertices, and the smallest strongly invariant dominating model (when it
-exists) is one linear programme: minimise over the credal set intersected
-with the fixed-point polytope of the pushforward maps.
+On a finite space both checks search the credal polytope's vertices for
+the first one a generator moves out of the set (weak) or at all (strong),
+and report it as a witness.
+
+Everything else works from the assessment's rows, as linear facts about
+the credal set: the smallest strongly invariant dominating model (when it
+exists) minimises over the credal set intersected with the fixed-point
+polytope of the pushforward maps; the mixture lower prevision is one
+min-max LP over the credal set; and the quotient of a strongly invariant
+model maps each assessed gamble to its atom means.
 """
 
 from __future__ import annotations
@@ -21,17 +27,14 @@ from .errors import (
     NotStronglyInvariantError,
     SureLossError,
 )
-from .previsions import Assessment, CredalSet, credal_vertices, natural_extension
-from .solver import (
-    ONE,
-    ZERO,
-    Constraint,
-    SimplexLP,
-    extreme_points,
-    polytope_inequalities,
-    solve_min,
-    solve_standard,
+from .previsions import (
+    Assessment,
+    CredalSet,
+    coherent_version,
+    credal_vertices,
+    natural_extension,
 )
+from .solver import ONE, ZERO, Constraint, SimplexLP, solve_min, solve_minmax
 from .transforms import TransformationMonoid, classify, invariant_atoms, pushforward
 from .transforms import InvariantAtoms
 
@@ -60,19 +63,19 @@ def _sorted_vertices(assessment: Assessment):
     return sorted(credal_vertices(assessment))
 
 
-def _weak_credal_witness(assessment: Assessment, m: TransformationMonoid):
+def _weak_credal_witness(assessment: Assessment, vertices, m: TransformationMonoid):
     """First (vertex, generator) whose pushforward leaves the credal set."""
     credal = CredalSet(assessment)
-    for vertex in _sorted_vertices(assessment):
+    for vertex in vertices:
         for t in m.generators:
             if not credal.contains(pushforward(t, vertex)):
                 return vertex, t
     return None
 
 
-def _strong_witness(assessment: Assessment, m: TransformationMonoid):
+def _strong_witness(vertices, m: TransformationMonoid):
     """First (vertex, generator) with pushforward(T, v) != v."""
-    for vertex in _sorted_vertices(assessment):
+    for vertex in vertices:
         for t in m.generators:
             if pushforward(t, vertex) != vertex:
                 return vertex, t
@@ -86,7 +89,7 @@ def credal_weakly_invariant(assessment: Assessment, m: TransformationMonoid) -> 
     vertex back into the set is equivalent to mapping the whole set into
     itself.
     """
-    return _weak_credal_witness(assessment, m) is None
+    return _weak_credal_witness(assessment, _sorted_vertices(assessment), m) is None
 
 
 def strongly_invariant(assessment: Assessment, m: TransformationMonoid) -> bool:
@@ -95,7 +98,7 @@ def strongly_invariant(assessment: Assessment, m: TransformationMonoid) -> bool:
     A linear equality holds on a polytope iff it holds on the vertices, so
     vertex fixedness under every generator settles it.
     """
-    return _strong_witness(assessment, m) is None
+    return _strong_witness(_sorted_vertices(assessment), m) is None
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,11 @@ def invariance_report(assessment: Assessment, m: TransformationMonoid) -> Invari
     weak_domain = assessment_weakly_invariant(assessment, m)
     witnesses: dict = {}
     try:
-        weak_witness = _weak_credal_witness(assessment, m)
-        strong_witness = _strong_witness(assessment, m)
+        vertices = _sorted_vertices(assessment)
     except SureLossError:
         return InvarianceReport(weak_domain, None, None, {"sure_loss": True})
+    weak_witness = _weak_credal_witness(assessment, vertices, m)
+    strong_witness = _strong_witness(vertices, m)
     if weak_witness is not None:
         witnesses["weak"] = weak_witness
     if strong_witness is not None:
@@ -252,45 +256,19 @@ def mixture_lower_prevision(
 ) -> Fraction:
     """Best lower bound achievable by averaging transformed copies of ``g``.
 
-    Computes sup over convex mixtures rho of words w (length <= depth) of
-    E(sum_w rho_w lift(w, g)): a matrix game between the mixture weights
-    and the credal vertices, solved as one exact LP.  Uniform averages
-    with repetition realise every rational mixture, so this is their
-    supremum too.  Monotone non-decreasing in ``depth``.
+    The sup over convex mixtures rho of words w (length <= depth) of
+    E(sum_w rho_w lift(w, g)).  By the minimax theorem this equals the
+    min over the credal set of max_w P(lift(w, g)), one exact LP over the
+    assessment's rows with no vertex enumeration.  Uniform averages with
+    repetition realise every rational mixture, so this is their supremum
+    too.  Monotone non-decreasing in ``depth``.  Raises
+    :class:`SureLossError` when the credal set is empty.
     """
-    words = words_up_to(m, depth)
-    lifted = [lift(w, g) for w in words]
-    vertices = sorted(credal_vertices(assessment))
-    payoff = [
-        [sum(p * v for p, v in zip(vertex, h.values)) for h in lifted]
-        for vertex in vertices
-    ]
-    # max z st sum_w rho_w payoff[v][w] >= z, rho in simplex; z = zp - zm
-    k = len(words)
-    nv = len(vertices)
-    nvars = k + 2 + nv  # rho, zp, zm, one slack per vertex row
-    rows, rhs = [], []
-    for vi in range(nv):
-        row = [ZERO] * nvars
-        for wi in range(k):
-            row[wi] = payoff[vi][wi]
-        row[k] = -ONE
-        row[k + 1] = ONE
-        row[k + 2 + vi] = -ONE
-        rows.append(row)
-        rhs.append(ZERO)
-    row = [ZERO] * nvars
-    for wi in range(k):
-        row[wi] = ONE
-    rows.append(row)
-    rhs.append(ONE)
-    cost = [ZERO] * nvars
-    cost[k] = -ONE
-    cost[k + 1] = ONE
-    status, value, _ = solve_standard(rows, rhs, cost)
-    if status != "optimal":
-        raise AssertionError(f"mixture game reported {status}")
-    return -value
+    lifted = [lift(w, g).values for w in words_up_to(m, depth)]
+    result = solve_minmax(lifted, CredalSet(assessment).lp)
+    if result.status == "infeasible":
+        raise SureLossError("assessment incurs sure loss")
+    return result.value
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +308,25 @@ def quotient_space(atoms: InvariantAtoms) -> Space:
     return Space(tuple(",".join(block) for block in atoms.partition))
 
 
+def _atom_means(atoms: InvariantAtoms, f: Gamble) -> tuple[Fraction, ...]:
+    return tuple(sum(f(x) for x in block) / len(block) for block in atoms.partition)
+
+
 def atom_representation(quotient: AtomLowerPrevision, g: Gamble) -> Fraction:
     """Evaluate the two-stage model: quotient prevision of atom means."""
-    means = tuple(
-        sum(g(x) for x in block) / len(block) for block in quotient.atoms.partition
-    )
+    means = _atom_means(quotient.atoms, g)
     return natural_extension(quotient.assessment, Gamble(quotient.quotient_space, means))
 
 
 def extract_atom_lowprev(assessment: Assessment, group: TransformationMonoid) -> AtomLowerPrevision:
     """Recover the quotient model of a strongly invariant assessment.
 
-    Marginalises every credal vertex onto the invariant atoms and rebuilds
-    an exact H-representation of the marginal polytope; the result
-    reproduces the original model through :func:`atom_representation`.
+    Every dominating prevision of a strongly invariant model is uniform on
+    each invariant atom, so each assessed (f, b) says exactly (atom means
+    of f, b) about the atom marginal.  Rows whose means are all equal hold
+    on the whole quotient simplex and are dropped; the rest are made
+    coherent, so every bound is attained.  The result reproduces the
+    original model through :func:`atom_representation`.
     """
     _require_group(group)
     if not strongly_invariant(assessment, group):
@@ -351,27 +334,10 @@ def extract_atom_lowprev(assessment: Assessment, group: TransformationMonoid) ->
             "quotient extraction needs a strongly invariant assessment"
         )
     atoms = invariant_atoms(group)
-    space = assessment.space
-    blocks_idx = [
-        tuple(space.index(x) for x in block) for block in atoms.partition
-    ]
-    marginals = set()
-    for vertex in credal_vertices(assessment):
-        marginals.add(tuple(sum(vertex[i] for i in idxs) for idxs in blocks_idx))
-    points = extreme_points(marginals)
-    equalities, inequalities = polytope_inequalities(points)
     qspace = quotient_space(atoms)
     items = []
-    for coeffs, rhs in inequalities:
-        items.append((Gamble(qspace, coeffs), rhs))
-    for coeffs, rhs in equalities:
-        gam = Gamble(qspace, coeffs)
-        items.append((gam, rhs))
-        items.append((-gam, -rhs))
-    # drop rows implied by the simplex itself (all-equal coefficients)
-    cleaned = []
-    for gam, rhs in items:
-        if len(set(gam.values)) == 1:
-            continue
-        cleaned.append((gam, rhs))
-    return AtomLowerPrevision(atoms, Assessment(qspace, tuple(cleaned)))
+    for f, b in assessment.items:
+        means = _atom_means(atoms, f)
+        if len(set(means)) > 1:
+            items.append((Gamble(qspace, means), b))
+    return AtomLowerPrevision(atoms, coherent_version(Assessment(qspace, tuple(items))))

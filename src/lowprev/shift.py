@@ -228,6 +228,8 @@ def window_sup_mean(f: Truncated, n: int) -> Fraction:
 
 
 def _windowed_lnex(f: Truncated, n_max: int) -> ShiftValue:
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     ints, mult = _int_window(f)
     pref = _prefix_sums(ints)
     limit = min(n_max, len(ints))

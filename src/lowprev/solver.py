@@ -5,10 +5,12 @@ on :class:`fractions.Fraction`.  Bland's rule guarantees termination, and
 exact arithmetic makes optimality and feasibility decisions sharp, so
 callers can assert equalities rather than tolerances.
 
-On top of the raw solver sit the three operations the rest of the library
+On top of the raw solver sit the four operations the rest of the library
 uses: minimising a linear objective over a polytope inside the simplex,
+minimising the pointwise maximum of finitely many linear objectives,
 enumerating the polytope's extreme points, and minimising a ratio of two
-linear functionals via the Charnes-Cooper change of variables.
+linear functionals via the Charnes-Cooper change of variables.  All LPs
+over a polytope share one standard-form encoding of its rows.
 """
 
 from __future__ import annotations
@@ -177,12 +179,12 @@ def _standard_form(lp: SimplexLP, objective):
     """Rewrite a SimplexLP as (A, b, c) in equality standard form.
 
     Slack variables are appended for the >= rows; the simplex equation
-    sum(p) == 1 is the first row.
+    sum(p) == 1 is the first row.  This is the one encoding of a polytope
+    in the simplex: the fractional and min-max programs extend its rows.
     """
     n = lp.n
     ges = [c for c in lp.constraints if c.relation == ">="]
     eqs = [c for c in lp.constraints if c.relation == "=="]
-    nvars = n + len(ges)
     rows, rhs = [], []
     rows.append([ONE] * n + [ZERO] * len(ges))
     rhs.append(ONE)
@@ -195,18 +197,46 @@ def _standard_form(lp: SimplexLP, objective):
         rows.append(row)
         rhs.append(c.rhs)
     cost = list(objective) + [ZERO] * len(ges)
-    return rows, rhs, cost, nvars
+    return rows, rhs, cost
 
 
 def solve_min(lp: SimplexLP) -> LPResult:
     """Exact minimum of the objective over the feasible polytope."""
-    rows, rhs, cost, _ = _standard_form(lp, lp.objective)
+    rows, rhs, cost = _standard_form(lp, lp.objective)
     status, value, x = solve_standard(rows, rhs, cost)
     if status == "infeasible":
         return LPResult("infeasible")
     if status == "unbounded":  # impossible: the simplex is bounded
         raise AssertionError("bounded LP reported unbounded")
     return LPResult("optimal", value, tuple(x[: lp.n]))
+
+
+def solve_minmax(objectives, lp: SimplexLP) -> LPResult:
+    """Exact minimum over the feasible polytope of max_w c_w.p.
+
+    One LP in epigraph form: minimise z subject to z >= c_w.p for every
+    objective c_w, with the free z split as z+ - z-.  The witness is a
+    minimising point of the polytope.
+    """
+    objs = [[frac(v) for v in c] for c in objectives]
+    if not objs or any(len(c) != lp.n for c in objs):
+        raise ValueError("need at least one objective of the variable count")
+    n, k = lp.n, len(objs)
+    rows, rhs, _ = _standard_form(lp, [ZERO] * n)
+    width = len(rows[0])
+    rows = [row + [ZERO] * (2 + k) for row in rows]
+    for w, c in enumerate(objs):  # z+ - z- - c_w.p - s_w = 0
+        row = [-v for v in c] + [ZERO] * (width - n) + [ONE, -ONE] + [ZERO] * k
+        row[width + 2 + w] = -ONE
+        rows.append(row)
+        rhs.append(ZERO)
+    cost = [ZERO] * width + [ONE, -ONE] + [ZERO] * k
+    status, value, x = solve_standard(rows, rhs, cost)
+    if status == "infeasible":
+        return LPResult("infeasible")
+    if status == "unbounded":  # impossible: z is bounded below on the simplex
+        raise AssertionError("bounded LP reported unbounded")
+    return LPResult("optimal", value, tuple(x[:n]))
 
 
 def feasible(lp: SimplexLP) -> bool:
@@ -228,24 +258,6 @@ def satisfies(lp: SimplexLP, point: Sequence[Fraction]) -> bool:
 
 
 # --- exact linear algebra helpers -----------------------------------------
-
-def _gauss_solve(matrix, rhs):
-    """Solve a square system exactly; None when singular."""
-    n = len(matrix)
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivval = aug[col][col]
-        aug[col] = [v / pivval for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][-1] for r in range(n)]
-
 
 def _row_reduce(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
@@ -374,9 +386,10 @@ def enumerate_vertices(lp: SimplexLP, cap: int = VERTEX_CAP) -> frozenset:
     for combo in itertools.combinations(range(len(rows)), d):
         system = [rows[i][0] for i in combo]
         rhs = [rows[i][1] for i in combo]
-        y = _gauss_solve(system, rhs)
-        if y is None:
+        solved = _solve_affine(system, rhs, d)
+        if solved is None or solved[1]:  # inconsistent or singular
             continue
+        y = solved[0]
         if any(
             sum(a * yv for a, yv in zip(coeffs, y)) < h for coeffs, h in rows
         ):
@@ -407,43 +420,15 @@ def solve_fractional_min(numerator, denominator, lp: SimplexLP) -> LPResult:
         raise PositivityError(
             f"denominator reaches {check.value} on the feasible set"
         )
-    # variables (y_0..y_{n-1}, t, slacks): rows in equality form
+    # variables (y_0..y_{n-1}, t, slacks): each row a.p (rel) b of the
+    # standard form becomes a.y - b t (rel) 0, and den.y = 1 is added
     n = lp.n
-    ges = [c for c in lp.constraints if c.relation == ">="]
-    eqs = [c for c in lp.constraints if c.relation == "=="]
-    nvars = n + 1 + len(ges)
-    rows, rhs = [], []
-
-    def fresh_row():
-        return [ZERO] * nvars
-
-    row = fresh_row()  # sum(y) - t = 0
-    for i in range(n):
-        row[i] = ONE
-    row[n] = -ONE
-    rows.append(row)
-    rhs.append(ZERO)
-    row = fresh_row()  # den.y = 1
-    for i in range(n):
-        row[i] = den[i]
-    rows.append(row)
-    rhs.append(ONE)
-    for c in eqs:
-        row = fresh_row()
-        for i in range(n):
-            row[i] = c.coeffs[i]
-        row[n] = -c.rhs
-        rows.append(row)
-        rhs.append(ZERO)
-    for k, c in enumerate(ges):
-        row = fresh_row()
-        for i in range(n):
-            row[i] = c.coeffs[i]
-        row[n] = -c.rhs
-        row[n + 1 + k] = -ONE
-        rows.append(row)
-        rhs.append(ZERO)
-    cost = list(num) + [ZERO] * (1 + len(ges))
+    rows, rhs, cost = _standard_form(lp, num)
+    rows = [row[:n] + [-b] + row[n:] for row, b in zip(rows, rhs)]
+    rows.insert(1, den + [ZERO] * (len(rows[0]) - n))
+    rhs = [ZERO] * len(rows)
+    rhs[1] = ONE
+    cost = cost[:n] + [ZERO] + cost[n:]
     status, value, x = solve_standard(rows, rhs, cost)
     if status != "optimal":
         raise AssertionError(f"Charnes-Cooper program reported {status}")
@@ -453,7 +438,7 @@ def solve_fractional_min(numerator, denominator, lp: SimplexLP) -> LPResult:
 
 
 # ---------------------------------------------------------------------------
-# polytope geometry from a vertex list (used by quotient extraction)
+# polytope geometry from a vertex list (used by the posterior rebuild)
 # ---------------------------------------------------------------------------
 
 def extreme_points(points) -> list:

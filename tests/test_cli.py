@@ -286,6 +286,33 @@ class TestValidateAndErrors:
         assert code == 2
 
 
+class TestBoundaryFlags:
+    """Out-of-range flags are refused with exit 1 and one JSON line."""
+
+    def assert_refused(self, argv):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert out.endswith("\n") and len(out.splitlines()) == 1
+        assert "result" not in json.loads(out)
+
+    @pytest.mark.parametrize("op", ["lnex", "unex", "lsamp", "lres"])
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    def test_shift_nmax_below_one(self, tmp_path, op, nmax):
+        doc = write(
+            tmp_path,
+            "seq.json",
+            {"kind": "truncated", "window": ["1", "0", "1", "1"], "lo": "0", "hi": "1"},
+        )
+        self.assert_refused(["shift", doc, "--op", op, "--nmax", nmax])
+
+    def test_mixture_negative_depth(self, tmp_path, vacuous3):
+        mono = write(tmp_path, "mono.json", {"generators": [{"map": [1, 2, 0]}]})
+        g = write(tmp_path, "g.json", {"values": ["2", "7", "-3"]})
+        self.assert_refused(
+            ["mixture", vacuous3, "--monoid", mono, "--gamble", g, "--depth", "-1"]
+        )
+
+
 class TestWorkedExamples:
     @pytest.mark.parametrize("name", example_names())
     def test_every_named_example_replays(self, name):

@@ -8,6 +8,7 @@ from lowprev import (
     NoInvariantDominatorError,
     NotAGroupError,
     Space,
+    SureLossError,
     Transformation,
     assessment_weakly_invariant,
     atom_representation,
@@ -23,6 +24,7 @@ from lowprev import (
     invariant_atoms,
     invariant_polytope_vertices,
     invariant_previsions_exist,
+    is_coherent,
     is_invariant_gamble,
     lift,
     mixture_lower_prevision,
@@ -337,6 +339,26 @@ class TestMixtureLowerPrevision:
             g = rnd_gamble(rng, space4)
             assert mixture_lower_prevision(a, m, g, depth) == strongly_invariant_natex(a, m, g)
 
+    def test_cyclic_shift_past_the_vertex_cap(self, rng):
+        space = Space(tuple(str(i) for i in range(10)))
+        m = monoid(space, [Transformation(space, tuple((i + 1) % 10 for i in range(10)))])
+        uniform = (F(1, 10),) * 10
+        items = []
+        for _ in range(4):
+            f = rnd_gamble(rng, space)
+            items.append((f, sum(u * v for u, v in zip(uniform, f.values)) - F(rng.randint(0, 4), 2)))
+        a = Assessment(space, tuple(items))
+        for _ in range(3):
+            g = rnd_gamble(rng, space)
+            value = mixture_lower_prevision(a, m, g, 9)
+            assert value == strongly_invariant_natex(a, m, g) == sum(g.values) / 10
+
+    def test_sure_loss_raises(self, space3):
+        m = monoid(space3, [Transformation(space3, (1, 2, 0))])
+        a = dice_assessment(space3, F(1, 2))
+        with pytest.raises(SureLossError):
+            mixture_lower_prevision(a, m, gamble(space3, [1, 0, 0]), 2)
+
     def test_words_collect_all_short_compositions(self, space3):
         t1 = Transformation(space3, (0, 1, 1))
         t2 = Transformation(space3, (0, 2, 2))
@@ -424,6 +446,33 @@ class TestAtomRepresentation:
             for _ in range(4):
                 g = rnd_gamble(rng, space)
                 assert atom_representation(quotient, g) == natural_extension(a, g)
+
+
+class TestQuotientExtraction:
+    def test_quotient_is_the_atom_marginal_of_the_credal_set(self):
+        rng = random.Random(2024)
+        for n in (4, 5, 6):
+            space = Space(tuple(str(i) for i in range(n)))
+            for _ in range(12):
+                group = monoid(space, [rnd_permutation(rng, space) for _ in range(rng.randint(1, 2))])
+                base = strongly_invariant_sample(rng, space, group)
+                # bounds on gambles that are not atom constant, anchored
+                # below an (invariant) credal vertex
+                anchor = sorted(credal_vertices(base))[0]
+                extra = []
+                for _ in range(rng.randint(1, 3)):
+                    f = rnd_gamble(rng, space)
+                    value = sum(p * v for p, v in zip(anchor, f.values))
+                    extra.append((f, value - F(rng.randint(0, 3), 2)))
+                a = Assessment(space, base.items + tuple(extra))
+                quotient = extract_atom_lowprev(a, group)
+                blocks = [[space.index(x) for x in block] for block in quotient.atoms.partition]
+                marginals = {
+                    tuple(sum(v[i] for i in idxs) for idxs in blocks)
+                    for v in credal_vertices(a)
+                }
+                assert credal_vertices(quotient.assessment) == marginals
+                assert is_coherent(quotient.assessment)
 
 
 class TestThreeElementFamily:

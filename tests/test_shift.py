@@ -238,6 +238,16 @@ class TestWindowedEstimators:
             assert residue_estimate(tr, 3) == brute_res
 
 
+class TestWindowLengthBound:
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_truncated_scans_need_a_positive_window(self, n_max):
+        tr = Truncated(tuple(F(v) for v in (1, 0, 1, 1)), F(0), F(1))
+        with pytest.raises(ValueError):
+            lnex_theta(tr, n_max)
+        with pytest.raises(ValueError):
+            unex_theta(tr, n_max)
+
+
 class TestBanachCrossCheck:
     def test_identity_reduces_to_natex(self, space3, rng):
         a = rnd_weakly_invariant_assessment(rng, space3, identity(space3))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lowprev import CapExceededError, Constraint, SimplexLP, enumerate_vertices, solve_fractional_min, solve_min
+from lowprev import CapExceededError, Constraint, SimplexLP, enumerate_vertices, solve_fractional_min, solve_min, solve_minmax
 from lowprev.errors import PositivityError
 from lowprev.solver import extreme_points, polytope_inequalities, satisfies
 
@@ -60,6 +60,53 @@ class TestSolveMin:
             if result.status == "optimal":
                 assert satisfies(lp, result.witness)
                 assert sum(c * x for c, x in zip(lp.objective, result.witness)) == result.value
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+class TestSolveMinmax:
+    @staticmethod
+    def random_lp(rng):
+        n = rng.randint(2, 5)
+        cons = tuple(
+            Constraint(
+                tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)),
+                rng.choice([">=", ">=", "=="]),
+                F(rng.randint(-9, 0), 2),
+            )
+            for _ in range(rng.randint(0, 4))
+        )
+        return SimplexLP(n, tuple(F(rng.randint(-5, 5)) for _ in range(n)), cons)
+
+    def test_single_objective_matches_solve_min(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            lp = self.random_lp(rng)
+            plain, minmax = solve_min(lp), solve_minmax([lp.objective], lp)
+            assert minmax.status == plain.status
+            if plain.status == "optimal":
+                assert minmax.value == plain.value
+                assert satisfies(lp, minmax.witness)
+                assert dot(lp.objective, minmax.witness) == minmax.value
+
+    def test_witness_attains_the_pointwise_maximum(self):
+        rng = random.Random(102)
+        for _ in range(40):
+            lp = self.random_lp(rng)
+            objectives = [
+                tuple(F(rng.randint(-5, 5)) for _ in range(lp.n))
+                for _ in range(rng.randint(2, 4))
+            ]
+            result = solve_minmax(objectives, lp)
+            if result.status == "infeasible":
+                assert solve_min(lp).status == "infeasible"
+                continue
+            assert satisfies(lp, result.witness)
+            assert max(dot(c, result.witness) for c in objectives) == result.value
+            for c in objectives:
+                assert solve_min(lp.with_objective(c)).value <= result.value
 
 
 class TestVertexEnumeration:
