@@ -71,6 +71,10 @@ def _load(path: str):
             return json.load(handle)
     except FileNotFoundError:
         raise ValidationError(path, "file not found")
+    except OSError as exc:
+        raise ValidationError(path, f"cannot read file: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ValidationError(path, "not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise ValidationError(path, f"invalid JSON at line {exc.lineno} column {exc.colno}")
 
@@ -202,9 +206,9 @@ def _cmd_shift(args, report: Report) -> int:
     if args.trunc is not None:
         if not isinstance(seq, Truncated):
             raise ValidationError("--trunc", "only truncated gambles can be re-truncated")
-        if args.trunc < 1 or args.trunc > len(seq.window):
+        if args.trunc < 1 or args.trunc > len(seq.ints):
             raise ValidationError("--trunc", "truncation outside the available window")
-        seq = Truncated(seq.window[: args.trunc], seq.lo, seq.hi)
+        seq = Truncated([Fraction(v, seq.scale) for v in seq.ints[: args.trunc]], seq.lo, seq.hi)
     if args.op == "lnex":
         value = lnex_theta(seq, args.nmax)
     elif args.op == "unex":
@@ -345,6 +349,8 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     report = Report(args.subcommand)
     try:
+        if args.decimal is not None and args.decimal < 0:
+            raise ValidationError("--decimal", "digits must be >= 0")
         return args.func(args, report)
     except ValidationError as exc:
         report.diagnostics.append(f"parse error: {exc}")

@@ -297,13 +297,6 @@ def predictive_update(
     return update_counts(prior, full, m, count_gamble(rest, g))
 
 
-def observation_lower_probability(prior: Assessment, full: CategorySpace, x) -> Fraction:
-    """Lower probability of observing the specific ordered sample x."""
-    m = counting_map(x, full.kappa)
-    den = [likelihood(m, m_star) for m_star in full.counts]
-    return natural_extension(prior, Gamble(full.count_space, tuple(den)))
-
-
 def posterior_count_assessment(prior: Assessment, full: CategorySpace, m) -> Assessment:
     """An assessment on the residual count space matching the GBR update.
 

@@ -35,7 +35,7 @@ from .previsions import (
     natural_extension,
 )
 from .solver import ONE, ZERO, Constraint, SimplexLP, solve_min, solve_minmax
-from .transforms import TransformationMonoid, classify, invariant_atoms, pushforward
+from .transforms import TransformationMonoid, classify, invariant_atoms, pushforward, words
 from .transforms import InvariantAtoms
 
 
@@ -232,23 +232,7 @@ def strongly_invariant_natex(
 
 def words_up_to(m: TransformationMonoid, depth: int) -> list[Transformation]:
     """Distinct compositions of at most ``depth`` generators, identity first."""
-    from .core import identity
-
-    ident = identity(m.space)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    for _ in range(depth):
-        nxt = []
-        for t in frontier:
-            for gen in m.generators:
-                w = gen.compose(t)
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
-    return order
+    return list(words(m.generators, depth))
 
 
 def mixture_lower_prevision(

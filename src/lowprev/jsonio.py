@@ -165,7 +165,9 @@ def parse_setfunction(doc, path="setfunction") -> SetFunction:
         'expected {"events": [...], "values": [...]}',
     )
     events = doc["events"]
-    _expect(isinstance(events, list), f"{path}.events", "expected a list of events")
+    _expect(
+        isinstance(events, list) and events, f"{path}.events", "expected a nonempty list of events"
+    )
     values = _rational_list(doc["values"], f"{path}.values")
     _expect(
         len(values) == len(events),
@@ -176,13 +178,17 @@ def parse_setfunction(doc, path="setfunction") -> SetFunction:
         space = parse_space(doc["space"], f"{path}.space")
     else:
         # canonical order from the largest listed event (the whole space)
-        biggest = max(events, key=len)
-        space = parse_space(biggest, f"{path}.events")
+        for i, ev in enumerate(events):
+            _expect(isinstance(ev, list), f"{path}.events[{i}]", "expected a list of labels")
+        space = parse_space(max(events, key=len), f"{path}.events")
     table = []
     for i, ev in enumerate(events):
         members = parse_event(ev, space, f"{path}.events[{i}]")
         table.append((members, values[i]))
-    return SetFunction(space, tuple(table))
+    try:
+        return SetFunction(space, tuple(table))
+    except ValueError as exc:
+        raise ValidationError(f"{path}.events", str(exc)) from None
 
 
 def parse_scenario(doc, path="scenario"):

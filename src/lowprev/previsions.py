@@ -152,14 +152,6 @@ def upper_extension(assessment: Assessment, g: Gamble) -> Fraction:
     return -natural_extension(assessment, -g)
 
 
-def natural_extension_witness(assessment: Assessment, g: Gamble):
-    """Value together with a minimising probability mass function."""
-    result = CredalSet(assessment).minimise(g)
-    if result.status == "infeasible":
-        raise SureLossError("assessment incurs sure loss; no extension exists")
-    return result.value, result.witness
-
-
 def is_coherent(assessment: Assessment) -> bool:
     """Avoiding sure loss plus reproduction of every assessed bound."""
     credal = CredalSet(assessment)

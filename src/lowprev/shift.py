@@ -19,7 +19,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import accumulate
+from math import ceil, floor, isqrt, lcm
 from typing import Union
 
 from .core import Gamble, Transformation, identity, lift
@@ -82,29 +83,47 @@ class EventuallyPeriodic:
         return sum(self.cycle) / len(self.cycle)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Truncated:
-    """Known only on an initial window, with global bounds lo <= f <= hi."""
+    """Known only on an initial window, with global bounds lo <= f <= hi.
 
-    window: tuple[Fraction, ...]
+    The window is stored once, as integers over one denominator: entry k is
+    ``ints[k] / scale``, where ``scale`` is the lcm of the entries'
+    denominators in lowest terms, so equal windows give equal objects.
+    Every scan works on this form; ``at`` and ``window`` give exact
+    Fractions back.
+    """
+
+    ints: tuple[int, ...]
+    scale: int
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        window = tuple(frac(v) for v in self.window)
-        lo, hi = frac(self.lo), frac(self.hi)
-        if not window:
+    def __init__(self, window, lo, hi):
+        values = [v if type(v) is int else frac(v) for v in window]
+        lo, hi = frac(lo), frac(hi)
+        if not values:
             raise ValueError("truncated window must be nonempty")
-        if any(v < lo or v > hi for v in window):
+        scale = lcm(*{v.denominator for v in values})
+        ints = tuple(v.numerator * (scale // v.denominator) for v in values)
+        if min(ints) < ceil(lo * scale) or max(ints) > floor(hi * scale):
             raise ValueError("window values must lie within [lo, hi]")
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set_truncated(self, ints, scale, lo, hi)
+
+    @property
+    def window(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.ints)
 
     def at(self, n: int) -> Fraction:
-        if n >= len(self.window):
-            raise IndexError(f"position {n} beyond truncation {len(self.window)}")
-        return self.window[n]
+        if n >= len(self.ints):
+            raise IndexError(f"position {n} beyond truncation {len(self.ints)}")
+        return Fraction(self.ints[n], self.scale)
+
+
+def _set_truncated(f: Truncated, ints, scale, lo, hi) -> Truncated:
+    for name, value in (("ints", ints), ("scale", scale), ("lo", lo), ("hi", hi)):
+        object.__setattr__(f, name, value)
+    return f
 
 
 NatGamble = Union[FinSupport, Convergent, EventuallyPeriodic, Truncated]
@@ -133,7 +152,8 @@ def negate(f: NatGamble) -> NatGamble:
         return Convergent(tuple(-v for v in f.prefix), -f.limit)
     if isinstance(f, EventuallyPeriodic):
         return EventuallyPeriodic(tuple(-v for v in f.prefix), tuple(-v for v in f.cycle))
-    return Truncated(tuple(-v for v in f.window), -f.hi, -f.lo)
+    negated = object.__new__(Truncated)
+    return _set_truncated(negated, tuple(-v for v in f.ints), f.scale, -f.hi, -f.lo)
 
 
 # --- eventually periodic arithmetic (closed and exact) ----------------------
@@ -148,34 +168,26 @@ def as_eventually_periodic(f: NatGamble) -> EventuallyPeriodic:
     raise TypeError("a truncated window has no exact eventually periodic form")
 
 
-def _aligned(f: EventuallyPeriodic, g: EventuallyPeriodic):
+def _pointwise(op, f: EventuallyPeriodic, g: EventuallyPeriodic) -> EventuallyPeriodic:
+    """``op`` applied entrywise, on a common prefix length and period."""
     pre = max(len(f.prefix), len(g.prefix))
-    lf, lg = len(f.cycle), len(g.cycle)
-    lcm = lf * lg // gcd(lf, lg)
-    fa = tuple(f.at(n) for n in range(pre)), tuple(f.at(pre + i) for i in range(lcm))
-    ga = tuple(g.at(n) for n in range(pre)), tuple(g.at(pre + i) for i in range(lcm))
-    return fa, ga
+    end = pre + lcm(len(f.cycle), len(g.cycle))
+    return EventuallyPeriodic(
+        tuple(op(f.at(n), g.at(n)) for n in range(pre)),
+        tuple(op(f.at(n), g.at(n)) for n in range(pre, end)),
+    )
 
 
 def ep_add(f: EventuallyPeriodic, g: EventuallyPeriodic) -> EventuallyPeriodic:
-    (fp, fc), (gp, gc) = _aligned(f, g)
-    return EventuallyPeriodic(
-        tuple(a + b for a, b in zip(fp, gp)), tuple(a + b for a, b in zip(fc, gc))
-    )
+    return _pointwise(operator.add, f, g)
 
 
 def ep_sub(f: EventuallyPeriodic, g: EventuallyPeriodic) -> EventuallyPeriodic:
-    (fp, fc), (gp, gc) = _aligned(f, g)
-    return EventuallyPeriodic(
-        tuple(a - b for a, b in zip(fp, gp)), tuple(a - b for a, b in zip(fc, gc))
-    )
+    return _pointwise(operator.sub, f, g)
 
 
 def ep_min(f: EventuallyPeriodic, g: EventuallyPeriodic) -> EventuallyPeriodic:
-    (fp, fc), (gp, gc) = _aligned(f, g)
-    return EventuallyPeriodic(
-        tuple(min(a, b) for a, b in zip(fp, gp)), tuple(min(a, b) for a, b in zip(fc, gc))
-    )
+    return _pointwise(min, f, g)
 
 
 def ep_shift(f: EventuallyPeriodic) -> EventuallyPeriodic:
@@ -195,32 +207,12 @@ def ep_limsup(f: EventuallyPeriodic) -> Fraction:
 
 # --- windowed scans on truncations ------------------------------------------
 
-def _int_window(f: Truncated):
-    """Integer rescaling of the window so comparisons avoid Fractions."""
-    mult = 1
-    for v in f.window:
-        mult = mult * v.denominator // gcd(mult, v.denominator)
-    ints = [int(v * mult) for v in f.window]
-    return ints, mult
-
-
-def _prefix_sums(ints):
-    total = 0
-    out = [0]
-    for v in ints:
-        total += v
-        out.append(total)
-    return out
-
-
 def window_inf_mean(f: Truncated, n: int) -> Fraction:
     """inf over start positions of the length-n window mean, on the data."""
-    ints, mult = _int_window(f)
-    if n < 1 or n > len(ints):
+    if n < 1 or n > len(f.ints):
         raise ValueError(f"window length {n} outside the truncation")
-    pref = _prefix_sums(ints)
-    best = min(map(operator.sub, pref[n:], pref))
-    return Fraction(best, n * mult)
+    pref = [0, *accumulate(f.ints)]
+    return Fraction(min(map(operator.sub, pref[n:], pref)), n * f.scale)
 
 
 def window_sup_mean(f: Truncated, n: int) -> Fraction:
@@ -230,16 +222,13 @@ def window_sup_mean(f: Truncated, n: int) -> Fraction:
 def _windowed_lnex(f: Truncated, n_max: int) -> ShiftValue:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ints, mult = _int_window(f)
-    pref = _prefix_sums(ints)
-    limit = min(n_max, len(ints))
+    pref = [0, *accumulate(f.ints)]
     best_value, best_n = None, None
-    for n in range(1, limit + 1):
-        worst = min(map(operator.sub, pref[n:], pref))
-        value = Fraction(worst, n * mult)
+    for n in range(1, min(n_max, len(f.ints)) + 1):
+        value = Fraction(min(map(operator.sub, pref[n:], pref)), n * f.scale)
         if best_value is None or value > best_value:
             best_value, best_n = value, n
-    return ShiftValue(best_value, False, best_n, len(ints))
+    return ShiftValue(best_value, False, best_n, len(f.ints))
 
 
 def lnex_theta(f: NatGamble, n_max: int = DEFAULT_N_MAX) -> ShiftValue:
@@ -270,10 +259,9 @@ def cesaro_mean(f: NatGamble, n: int) -> Fraction:
     if n < 1:
         raise ValueError("Cesaro mean needs n >= 1")
     if isinstance(f, Truncated):
-        if n > len(f.window):
-            raise IndexError(f"n={n} beyond truncation {len(f.window)}")
-        ints, mult = _int_window(f)
-        return Fraction(sum(ints[:n]), n * mult)
+        if n > len(f.ints):
+            raise IndexError(f"n={n} beyond truncation {len(f.ints)}")
+        return Fraction(sum(f.ints[:n]), n * f.scale)
     return sum(f.at(i) for i in range(n)) / n
 
 
@@ -290,16 +278,16 @@ def lsamp_theta(f: NatGamble, tail_from: int | None = None) -> ShiftValue:
         return ShiftValue(f.limit, True)
     if isinstance(f, EventuallyPeriodic):
         return ShiftValue(f.cycle_mean(), True)
-    ints, mult = _int_window(f)
-    pref = _prefix_sums(ints)
-    total = len(ints)
+    pref = [0, *accumulate(f.ints)]
+    total = len(f.ints)
     start = max(1, total // 2) if tail_from is None else max(1, tail_from)
-    best_value, best_n = None, None
-    for n in range(start, total + 1):
-        value = Fraction(pref[n], n * mult)
-        if best_value is None or value < best_value:
-            best_value, best_n = value, n
-    return ShiftValue(best_value, False, best_n, total)
+    if start > total:
+        raise ValueError(f"tail_from={tail_from} beyond truncation {total}")
+    best_n = start
+    for n in range(start + 1, total + 1):
+        if pref[n] * best_n < pref[best_n] * n:
+            best_n = n
+    return ShiftValue(Fraction(pref[best_n], best_n * f.scale), False, best_n, total)
 
 
 def usamp_theta(f: NatGamble, tail_from: int | None = None) -> ShiftValue:
@@ -319,18 +307,19 @@ def residue_estimate(f: Truncated, modulus: int) -> Fraction:
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    window, lo = f.window, f.lo
-    total = ZERO
+    ints = f.ints
+    bound = ceil(f.lo * f.scale)  # the least value an entry can take
+    total = 0
     for r in range(modulus):
         worst = None
-        for pos in range(r, len(window), modulus):
-            v = window[pos]
+        for pos in range(r, len(ints), modulus):
+            v = ints[pos]
             if worst is None or v < worst:
                 worst = v
-                if worst == lo:
+                if worst == bound:
                     break  # cannot go lower: lo is a global bound
         total += worst
-    return total / modulus
+    return Fraction(total, modulus * f.scale)
 
 
 def lnex_res(f: NatGamble, m_max: int = 100) -> ShiftValue:
@@ -350,7 +339,7 @@ def lnex_res(f: NatGamble, m_max: int = 100) -> ShiftValue:
         return ShiftValue(f.limit, True)
     if isinstance(f, EventuallyPeriodic):
         return ShiftValue(f.cycle_mean(), True)
-    return ShiftValue(residue_estimate(f, m_max), False, m_max, len(f.window))
+    return ShiftValue(residue_estimate(f, m_max), False, m_max, len(f.ints))
 
 
 # --- the two worked sequence events -----------------------------------------
@@ -368,7 +357,7 @@ def quadratic_event(truncation: int) -> Truncated:
     for p in range(truncation):
         s = isqrt(p)
         window.append(1 if s >= 1 and p <= s * s + s - 1 else 0)
-    return Truncated(tuple(Fraction(v) for v in window), ZERO, Fraction(1))
+    return Truncated(window, 0, 1)
 
 
 def residue_image_positions(spread: int, truncation: int) -> list[int]:
@@ -416,7 +405,7 @@ def residue_counterexample_event(spread: int, truncation: int) -> Truncated:
     window = [1] * truncation
     for pos in residue_image_positions(spread, truncation):
         window[pos] = 0
-    return Truncated(tuple(Fraction(v) for v in window), ZERO, Fraction(1))
+    return Truncated(window, 0, 1)
 
 
 # --- powers of a finite map and the Banach-limit cross-check -----------------

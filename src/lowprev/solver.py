@@ -239,10 +239,6 @@ def solve_minmax(objectives, lp: SimplexLP) -> LPResult:
     return LPResult("optimal", value, tuple(x[:n]))
 
 
-def feasible(lp: SimplexLP) -> bool:
-    return solve_min(SimplexLP(lp.n, None, lp.constraints)).status == "optimal"
-
-
 def satisfies(lp: SimplexLP, point: Sequence[Fraction]) -> bool:
     """Exact membership of a probability point in the feasible polytope."""
     p = [frac(v) for v in point]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import count, islice
+from typing import Iterable, Iterator, Sequence
 
 from .core import Space, Transformation, identity
 from .errors import TruncatedClosureError
@@ -32,6 +33,32 @@ class TransformationMonoid:
     truncated: bool = False
 
 
+def words(
+    generators: Sequence[Transformation], depth: int | None = None
+) -> Iterator[Transformation]:
+    """Distinct compositions of the generators, breadth first, identity first.
+
+    Every word is a generator composed with a shorter word, so composition
+    on the left alone reaches them all.  Words of length up to ``depth``
+    are produced, or all of them when ``depth`` is None.
+    """
+    ident = identity(generators[0].space)
+    seen, frontier = {ident}, [ident]
+    yield ident
+    for _ in count() if depth is None else range(depth):
+        nxt = []
+        for t in frontier:
+            for g in generators:
+                w = g.compose(t)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    yield w
+        if not nxt:
+            return
+        frontier = nxt
+
+
 def closure(generators: Iterable[Transformation], cap: int = CLOSURE_CAP) -> TransformationMonoid:
     """All distinct finite compositions of the generators, plus identity."""
     if cap < 1:
@@ -43,28 +70,8 @@ def closure(generators: Iterable[Transformation], cap: int = CLOSURE_CAP) -> Tra
     for g in gens:
         if g.space != space:
             raise ValueError("all generators must act on the same space")
-    seen = {identity(space)}
-    frontier = list(seen)
-    truncated = False
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                for comp in (g.compose(t), t.compose(g)):
-                    if comp not in seen:
-                        if len(seen) >= cap:
-                            truncated = True
-                            frontier = []
-                            nxt = []
-                            break
-                        seen.add(comp)
-                        nxt.append(comp)
-                if truncated:
-                    break
-            if truncated:
-                break
-        frontier = nxt
-    return TransformationMonoid(space, gens, frozenset(seen), truncated)
+    elements = list(islice(words(gens), cap + 1))
+    return TransformationMonoid(space, gens, frozenset(elements[:cap]), len(elements) > cap)
 
 
 def monoid(space: Space, generators: Iterable[Transformation], cap: int = CLOSURE_CAP) -> TransformationMonoid:

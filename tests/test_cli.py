@@ -313,6 +313,51 @@ class TestBoundaryFlags:
         )
 
 
+class TestMalformedInputs:
+    """Malformed documents and flags exit 1 with one JSON line naming a path."""
+
+    def assert_refused_at(self, argv, path):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert out.endswith("\n") and len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert "result" not in payload
+        assert len(payload["diagnostics"]) == 1 and path in payload["diagnostics"][0]
+
+    @pytest.mark.parametrize("command", ["choquet", "validate"])
+    def test_setfunction_domain_not_a_lattice(self, tmp_path, command):
+        doc = {
+            "space": ["1", "2", "3"],
+            "events": [[], ["1"], ["2"], ["1", "2", "3"]],
+            "values": ["0", "1/3", "1/3", "1"],
+        }
+        sf = write(tmp_path, "sf.json", doc)
+        g = write(tmp_path, "g.json", {"values": ["1", "0", "0"]})
+        argv = ["choquet", sf, "--gamble", g] if command == "choquet" else ["validate", sf]
+        self.assert_refused_at(argv, "setfunction.events")
+
+    def test_setfunction_event_not_a_list(self, tmp_path):
+        sf = write(tmp_path, "sf.json", {"events": [5], "values": ["0"]})
+        self.assert_refused_at(["validate", sf], "setfunction.events[0]")
+
+    def test_setfunction_without_events(self, tmp_path):
+        sf = write(tmp_path, "sf.json", {"events": [], "values": []})
+        self.assert_refused_at(["validate", sf], "setfunction.events")
+
+    def test_negative_decimal_digits(self, tmp_path, vacuous3):
+        g = write(tmp_path, "g.json", {"values": ["3", "1", "2"]})
+        self.assert_refused_at(["--decimal", "-1", "natex", vacuous3, "--gamble", g], "--decimal")
+
+    def test_model_path_is_a_directory(self, tmp_path):
+        g = write(tmp_path, "g.json", {"values": ["3", "1", "2"]})
+        self.assert_refused_at(["natex", str(tmp_path), "--gamble", g], str(tmp_path))
+
+    def test_model_file_is_not_utf8(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_bytes(b"\xff\xfe{}")
+        self.assert_refused_at(["validate", str(model)], str(model))
+
+
 class TestWorkedExamples:
     @pytest.mark.parametrize("name", example_names())
     def test_every_named_example_replays(self, name):

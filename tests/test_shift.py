@@ -248,6 +248,93 @@ class TestWindowLengthBound:
             unex_theta(tr, n_max)
 
 
+def rnd_window(rng):
+    """Signed values with mixed denominators, as Fractions.
+
+    Half the windows take few distinct values, so that ties and entries one
+    step of 1/scale above the minimum are common.
+    """
+    top, dens = rng.choice(((12, (1, 2, 3, 4, 6, 10)), (2, (1, 2))))
+    return tuple(
+        F(rng.randint(-top, top), rng.choice(dens)) for _ in range(rng.randint(1, 14))
+    )
+
+
+class TestCompactWindow:
+    """A truncation stores integers over one denominator and scans that form."""
+
+    def test_ints_fractions_and_strings_build_equal_objects(self):
+        whole = Truncated((3, -1, 0, 2), -1, 3)
+        assert whole == Truncated((F(3), F(-1), F(0), F(2)), F(-1), F(3))
+        assert whole == Truncated(("3", "-1", "0", "6/3"), "-1", "3")
+        assert whole.scale == 1 and whole.ints == (3, -1, 0, 2)
+        mixed = Truncated((F(1, 2), F(-2, 3), F(5, 4)), F(-1), F(2))
+        assert mixed == Truncated(("1/2", "-4/6", "5/4"), "-1", "2")
+        assert mixed == Truncated(("2/4", F(-2, 3), "10/8"), -1, 2)
+        assert mixed.scale == 12 and mixed.ints == (6, -8, 15)
+        assert hash(mixed) == hash(Truncated(("1/2", "-2/3", "5/4"), -1, 2))
+        assert all(type(v) is int for v in mixed.ints)
+
+    def test_window_and_at_round_trip(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            window = rnd_window(rng)
+            tr = Truncated(window, min(window), max(window))
+            assert tr.window == window
+            assert tuple(tr.at(k) for k in range(len(window))) == window
+            assert Truncated(tr.window, tr.lo, tr.hi) == tr
+            with pytest.raises(IndexError):
+                tr.at(len(window))
+
+    def test_bounds_are_checked_on_the_integer_form(self):
+        # lo = 1/3 is not a multiple of 1/scale = 1/4
+        assert Truncated(("1/2", "3/4"), "1/3", "3/4").scale == 4
+        with pytest.raises(ValueError):
+            Truncated(("1/4", "3/4"), "1/3", "1")
+        with pytest.raises(ValueError):
+            Truncated(("1/2", "3/4"), "0", "2/3")
+        with pytest.raises(ValueError):
+            Truncated((), 0, 1)
+
+    def test_tail_beyond_the_truncation_is_refused(self):
+        tr = Truncated((1, 0, 1), 0, 1)
+        assert lsamp_theta(tr, 3).value == F(2, 3)
+        with pytest.raises(ValueError):
+            lsamp_theta(tr, 4)
+
+    def test_upper_scans_and_residues_match_brute_force(self):
+        rng = random.Random(32)
+        for trial in range(60):
+            window = rnd_window(rng)
+            # every other trial puts lo more than 1 below the data and off the
+            # 1/scale grid (7 divides no scale here): no class reaches the
+            # early-exit bound ceil(lo * scale), and the scan runs every class out
+            slack = F(8, 7) if trial % 2 else F(0)
+            tr = Truncated(window, min(window) - slack, max(window) + slack)
+            total = len(window)
+            sups = [
+                max(sum(window[k : k + n]) / n for k in range(total - n + 1))
+                for n in range(1, total + 1)
+            ]
+            for n in range(1, total + 1):
+                assert window_sup_mean(tr, n) == sups[n - 1]
+            n_max = rng.randint(1, total)
+            best = min(sups[:n_max])
+            value = unex_theta(tr, n_max)
+            assert (value.value, value.window_length, value.truncation_used) == (
+                best, sups.index(best) + 1, total,
+            )
+            start = max(1, total // 2)
+            means = [sum(window[:n]) / n for n in range(start, total + 1)]
+            value = usamp_theta(tr)
+            assert (value.value, value.window_length, value.truncation_used) == (
+                max(means), start + means.index(max(means)), total,
+            )
+            for m in range(1, total + 1):
+                brute = sum(min(window[r::m]) for r in range(m)) / m
+                assert residue_estimate(tr, m) == brute
+
+
 class TestBanachCrossCheck:
     def test_identity_reduces_to_natex(self, space3, rng):
         a = rnd_weakly_invariant_assessment(rng, space3, identity(space3))
