@@ -50,6 +50,16 @@ def report_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+DECIMAL_CAP = 100  # most digits --decimal may ask for
+
+
+def report_decimal(value: Fraction, digits: int) -> str:
+    """``value`` to ``digits`` places, rounded half to even from the exact value."""
+    text = str(round(abs(value) * 10**digits)).rjust(digits + 1, "0")
+    sign = "-" if value < 0 else ""
+    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else sign + text
+
+
 PRECONDITION_ERRORS = (
     SureLossError,
     NoInvariantDominatorError,
@@ -95,7 +105,7 @@ class Report:
     def rational(self, value: Fraction, decimal: int | None):
         out = {"kind": "rational", "value": report_rational(value)}
         if decimal is not None:
-            out["decimal"] = f"{float(value):.{decimal}f}"
+            out["decimal"] = report_decimal(value, decimal)
         self.result = out
 
     def boolean(self, value: bool):
@@ -216,6 +226,8 @@ def _cmd_shift(args, report: Report) -> int:
     elif args.op == "lsamp":
         value = lsamp_theta(seq)
     else:
+        if isinstance(seq, Truncated) and args.nmax > len(seq.ints):
+            raise ValidationError("--nmax", "modulus exceeds the truncation length")
         value = lnex_res(seq, args.nmax)
     report.rational(value.value, args.decimal)
     report.exact = value.exact
@@ -351,6 +363,8 @@ def main(argv=None) -> int:
     try:
         if args.decimal is not None and args.decimal < 0:
             raise ValidationError("--decimal", "digits must be >= 0")
+        if args.decimal is not None and args.decimal > DECIMAL_CAP:
+            raise ValidationError("--decimal", f"digits must be <= {DECIMAL_CAP}")
         return args.func(args, report)
     except ValidationError as exc:
         report.diagnostics.append(f"parse error: {exc}")

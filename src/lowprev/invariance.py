@@ -156,7 +156,7 @@ def weakly_invariant_closure(
         for t in m.generators:
             lifted = lift(t, f)
             if lifted not in bounds or bounds[lifted] < b:
-                bounds[lifted] = max(bounds.get(lifted, b), b)
+                bounds[lifted] = b
                 queue.append(lifted)
                 if len(bounds) > cap:
                     raise CapExceededError("lifting closure exceeded the cap")
@@ -268,12 +268,13 @@ def symmetrize(assessment: Assessment, group: TransformationMonoid, g: Gamble) -
     """Uniform average of E(lift(pi, g)) over the whole group.
 
     The resulting functional of g is weakly invariant under the group, and
-    weakly invariant models are exactly its fixed points.
+    weakly invariant models are exactly its fixed points.  Equal lifts come
+    from one coset of g's stabiliser, so each distinct lift is hit equally
+    often and needs one natural extension.
     """
     _require_group(group)
-    elems = sorted(group.closure, key=lambda t: t.image)
-    total = sum(natural_extension(assessment, lift(t, g)) for t in elems)
-    return total / len(elems)
+    lifts = {lift(t, g) for t in group.closure}
+    return sum(natural_extension(assessment, h) for h in lifts) / len(lifts)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from math import ceil, floor, isqrt, lcm
 from typing import Union
 
 from .core import Gamble, Transformation, identity, lift
-from .previsions import Assessment, credal_vertices
+from .previsions import Assessment, natural_extension
 from .rationals import frac
 
 ZERO = Fraction(0)
@@ -303,11 +303,12 @@ def residue_estimate(f: Truncated, modulus: int) -> Fraction:
     The infimum over a class on the data is at least the infimum over the
     whole class, so the estimate is an upper bound of the untruncated
     per-class average; it equals that average once every class attains its
-    infimum inside the window.
+    infimum inside the window.  A modulus beyond the window length would
+    leave a class with no data, so it is refused.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
     ints = f.ints
+    if modulus < 1 or modulus > len(ints):
+        raise ValueError(f"modulus {modulus} outside the truncation")
     bound = ceil(f.lo * f.scale)  # the least value an entry can take
     total = 0
     for r in range(modulus):
@@ -439,16 +440,13 @@ def prevision_power_sequence(point, t: Transformation, g: Gamble) -> EventuallyP
 def banach_crosscheck(assessment: Assessment, t: Transformation, g: Gamble) -> Fraction:
     """Strong T-invariant natural extension via shift values of power sequences.
 
-    For each credal vertex P the sequence n -> P(lift(T^n, g)) is
-    eventually periodic, so its smallest shift-invariant value is an exact
-    cycle mean; the minimum over vertices equals the strongly T-invariant
-    natural extension whenever the assessment is weakly T-invariant and
-    invariant dominators exist.
+    For every prevision P the shift value of n -> P(lift(T^n, g)) is its
+    cycle mean P(g_bar), with g_bar the mean of the lifts over the cycle of
+    T's powers; the minimum over the credal set is the natural extension of
+    g_bar.  It equals the strongly T-invariant natural extension whenever
+    the assessment is weakly T-invariant and invariant dominators exist.
     """
-    best = None
-    for vertex in sorted(credal_vertices(assessment)):
-        seq = prevision_power_sequence(vertex, t, g)
-        value = lnex_theta(seq).value
-        if best is None or value < best:
-            best = value
-    return best
+    powers, start, cyclen = power_orbit(t)
+    lifts = [lift(w, g).values for w in powers[start:]]
+    g_bar = Gamble(g.space, tuple(sum(column) / cyclen for column in zip(*lifts)))
+    return natural_extension(assessment, g_bar)

@@ -504,14 +504,10 @@ def polytope_inequalities(points):
             [coords[combo[k]][j] - coords[combo[0]][j] for j in range(d)]
             for k in range(1, d)
         ]
-        rrefm, pivs = _row_reduce(mat) if mat else ([], [])
-        if len(pivs) != d - 1:
+        nullspace = _solve_affine(mat, [ZERO] * (d - 1), d)[1]
+        if len(nullspace) != 1:
             continue  # degenerate choice
-        freej = next(j for j in range(d) if j not in pivs)
-        normal = [ZERO] * d
-        normal[freej] = ONE
-        for row, p in zip(rrefm, pivs):
-            normal[p] = -row[freej]
+        normal = nullspace[0]
         c0 = sum(a * y for a, y in zip(normal, coords[combo[0]]))
         sides = [sum(a * y for a, y in zip(normal, q)) - c0 for q in coords]
         if all(s >= 0 for s in sides):

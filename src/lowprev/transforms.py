@@ -90,17 +90,18 @@ class MonoidFlags:
 
 
 def classify(m: TransformationMonoid) -> MonoidFlags:
-    """Exhaustive structural check over the closure."""
+    """Structural flags, read from the generators.
+
+    A map of a finite set with a one-sided inverse is a permutation, whose
+    inverse is one of its powers, so the monoid is a group (and cancellable
+    on both sides) exactly when every generator is a permutation.
+    """
     if m.truncated:
         raise TruncatedClosureError("cannot classify a truncated closure")
-    elems = sorted(m.closure, key=lambda t: t.image)
-    ident = identity(m.space)
-    abelian = all(
-        s.compose(t) == t.compose(s) for i, s in enumerate(elems) for t in elems[i + 1:]
-    )
-    left = all(any(s.compose(t) == ident for s in elems) for t in elems)
-    right = all(any(t.compose(s) == ident for s in elems) for t in elems)
-    return MonoidFlags(abelian, left and right, left, right)
+    gens = m.generators
+    abelian = all(s.compose(t) == t.compose(s) for i, s in enumerate(gens) for t in gens[i + 1:])
+    group = all(t.is_permutation() for t in gens)
+    return MonoidFlags(abelian, group, group, group)
 
 
 @dataclass(frozen=True)

@@ -358,6 +358,43 @@ class TestMalformedInputs:
         self.assert_refused_at(["validate", str(model)], str(model))
 
 
+class TestBoundedRequests:
+    """Requests the window or the report size cannot serve exit 1, naming the flag."""
+
+    def assert_refused_at(self, argv, path):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert out.endswith("\n") and len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert "result" not in payload
+        assert len(payload["diagnostics"]) == 1 and path in payload["diagnostics"][0]
+
+    def test_residue_modulus_beyond_the_window(self, tmp_path):
+        doc = write(
+            tmp_path,
+            "seq.json",
+            {"kind": "truncated", "window": ["1", "0", "1", "1"], "lo": "0", "hi": "1"},
+        )
+        self.assert_refused_at(["shift", doc, "--op", "lres"], "--nmax")
+        code, out = run_cli(["shift", doc, "--op", "lres", "--nmax", "4"])
+        assert code == 0 and json.loads(out)["result"]["value"] == "3/4"
+
+    def test_decimal_digits_are_capped(self, tmp_path, vacuous3):
+        g = write(tmp_path, "g.json", {"values": ["3", "1", "2"]})
+        self.assert_refused_at(["--decimal", "101", "natex", vacuous3, "--gamble", g], "--decimal")
+        code, out = run_cli(["--decimal", "100", "natex", vacuous3, "--gamble", g])
+        assert code == 0 and json.loads(out)["result"]["decimal"] == "1." + "0" * 100
+
+    def test_decimal_of_a_value_beyond_float_range(self, tmp_path, vacuous3):
+        big = 10**400
+        g = write(tmp_path, "g.json", {"values": [str(big), str(big + 1), f"{-3 * big - 1}/3"]})
+        code, out = run_cli(["--decimal", "3", "natex", vacuous3, "--gamble", g])
+        result = json.loads(out)["result"]
+        assert code == 0
+        assert result["value"] == f"{-3 * big - 1}/3"
+        assert result["decimal"] == "-" + "1" + "0" * 400 + ".333"
+
+
 class TestWorkedExamples:
     @pytest.mark.parametrize("name", example_names())
     def test_every_named_example_replays(self, name):

@@ -404,6 +404,26 @@ class TestSymmetrize:
             symmetrize(Assessment.vacuous(space3), m, gamble(space3, [1, 0, 0]))
 
 
+class TestSymmetrizeByDistinctLifts:
+    def test_tied_values_match_the_average_over_every_element(self):
+        rng = random.Random(5151)
+        for size in (3, 4):
+            space = Space(tuple(str(i) for i in range(size)))
+            cyclic = monoid(space, [Transformation(space, tuple(list(range(1, size)) + [0]))])
+            for group in (full_symmetric_monoid(space), cyclic):
+                for _ in range(3):
+                    a = rnd_asl_assessment(rng, space, max_items=3)
+                    g = gamble(space, [rng.randint(0, 1) for _ in range(size)])
+                    elems = group.closure
+                    average = sum(natural_extension(a, lift(t, g)) for t in elems) / len(elems)
+                    assert symmetrize(a, group, g) == average
+
+    def test_sure_loss_is_refused(self, space3):
+        a = Assessment(space3, ((gamble(space3, [1, 1, 1]), F(2)),))
+        with pytest.raises(SureLossError):
+            symmetrize(a, full_symmetric_monoid(space3), gamble(space3, [1, 0, 0]))
+
+
 class TestAtomRepresentation:
     def test_vacuous_quotient_reproduces_even_odd_formula(self, space6, rng):
         group = even_odd_monoid(space6)

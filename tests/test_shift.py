@@ -40,9 +40,11 @@ from lowprev.shift import (
     prevision_power_sequence,
     residue_image_positions,
 )
+from lowprev import credal_vertices, weakly_invariant_closure
 from lowprev.transforms import monoid
 
 from conftest import rnd_gamble, rnd_map, rnd_weakly_invariant_assessment
+from conftest import rnd_asl_assessment
 
 F = Fraction
 
@@ -248,6 +250,16 @@ class TestWindowLengthBound:
             unex_theta(tr, n_max)
 
 
+class TestModulusBound:
+    def test_modulus_beyond_the_window_is_refused(self):
+        tr = Truncated((1, 0, 1, 1), 0, 1)
+        assert residue_estimate(tr, 4) == F(3, 4)
+        with pytest.raises(ValueError):
+            residue_estimate(tr, 5)
+        with pytest.raises(ValueError):
+            lnex_res(tr)  # default modulus 100 on a 4-entry window
+
+
 def rnd_window(rng):
     """Signed values with mixed denominators, as Fractions.
 
@@ -393,3 +405,41 @@ class TestBanachCrossCheck:
             direct = sum(p * v for p, v in zip(point, lift(power, g).values))
             assert seq.at(n) == direct
             power = t.compose(power)
+
+
+def banach_by_vertices(assessment, t, g):
+    """The shift value of n -> P(lift(T^n, g)), minimised over the credal vertices."""
+    return min(
+        lnex_theta(prevision_power_sequence(vertex, t, g)).value
+        for vertex in credal_vertices(assessment)
+    )
+
+
+class TestBanachOneLP:
+    def test_matches_the_vertex_oracle(self):
+        rng = random.Random(4404)
+        for k in range(16):
+            space = Space(tuple(str(i) for i in range(rng.randint(2, 6))))
+            t = rnd_map(rng, space)
+            if k % 2:
+                a = rnd_weakly_invariant_assessment(rng, space, t, max_items=2)
+            else:
+                a = rnd_asl_assessment(rng, space, max_items=4, strict_somewhere=True)
+            g = rnd_gamble(rng, space)
+            assert banach_crosscheck(a, t, g) == banach_by_vertices(a, t, g)
+
+    def test_ten_outcome_cyclic_shift(self):
+        rng = random.Random(1010)
+        space = Space(tuple(str(i) for i in range(10)))
+        t = Transformation(space, tuple((i + 1) % 10 for i in range(10)))
+        m = monoid(space, [t])
+        for _ in range(3):
+            items = []
+            for _ in range(rng.randint(1, 2)):
+                f = rnd_gamble(rng, space)
+                items.append((f, sum(f.values) / 10 - F(rng.randint(0, 4), 2)))
+            a = weakly_invariant_closure(Assessment(space, tuple(items)), m)
+            g = rnd_gamble(rng, space)
+            value = banach_crosscheck(a, t, g)
+            # the uniform mass function is the one invariant prevision
+            assert value == strongly_invariant_natex(a, m, g) == sum(g.values) / 10

@@ -18,6 +18,9 @@ from lowprev import (
     pushforward,
 )
 
+from lowprev import Space
+from lowprev.transforms import MonoidFlags
+
 from conftest import rnd_gamble, rnd_map, rnd_permutation, transposition
 
 F = Fraction
@@ -69,6 +72,33 @@ class TestClassify:
         flags = classify(monoid(space3, [t]))
         assert not flags.left_cancellable and not flags.right_cancellable
         assert flags.abelian
+
+
+def closure_flags(m):
+    """The flags by their definitions, checked over every pair of the closure."""
+    elems = list(m.closure)
+    ident = identity(m.space)
+    abelian = all(s.compose(t) == t.compose(s) for s in elems for t in elems)
+    left = all(any(s.compose(t) == ident for s in elems) for t in elems)
+    right = all(any(t.compose(s) == ident for s in elems) for t in elems)
+    return MonoidFlags(abelian, left and right, left, right)
+
+
+class TestClassifyFromGenerators:
+    def test_matches_the_closure_oracle(self):
+        rng = random.Random(92)
+        seen = set()
+        for _ in range(150):
+            space = Space(tuple(str(i) for i in range(rng.randint(1, 4))))
+            gens = [
+                rnd_permutation(rng, space) if rng.random() < 0.6 else rnd_map(rng, space)
+                for _ in range(rng.randint(1, 3))
+            ]
+            m = monoid(space, gens)
+            flags = classify(m)
+            assert flags == closure_flags(m)
+            seen.add((flags.group, flags.abelian))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestInvariantAtoms:
