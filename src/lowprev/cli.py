@@ -27,8 +27,10 @@ from .errors import (
     ValidationError,
 )
 from .invariance import (
+    credal_weakly_invariant,
     invariance_report,
     mixture_lower_prevision,
+    strongly_invariant,
     strongly_invariant_natex,
 )
 from .jsonio import (
@@ -41,7 +43,8 @@ from .jsonio import (
     parse_scenario,
 )
 from .previsions import avoids_sure_loss, credal_vertices, is_coherent, natural_extension
-from .shift import Truncated, lnex_res, lnex_theta, lsamp_theta, unex_theta
+from .shift import DEFAULT_M_MAX, DEFAULT_N_MAX, Truncated
+from .shift import lnex_res, lnex_theta, lsamp_theta, unex_theta
 from .exchange import update_counts, count_gamble, counting_map, CategorySpace
 from .choquet import choquet_integral, inner_extension
 
@@ -165,26 +168,26 @@ def _cmd_vertices(args, report: Report) -> int:
 def _cmd_invariance(args, report: Report) -> int:
     model = parse_assessment(report.read(args.model))
     mon = parse_monoid(report.read(args.monoid), model.space)
-    rep = invariance_report(model, mon)
     if args.weak or args.strong:
-        value = rep.weak_credal_level if args.weak else rep.strong
-        if value is None:
-            raise SureLossError("credal-level invariance undefined under sure loss")
-        report.boolean(value)
-    else:
-        witnesses = {
-            kind: {"vertex": _fmt_point(v), "map": list(t.image)}
-            for kind, (v, t) in rep.witnesses.items()
-            if kind in ("weak", "strong")
+        check = credal_weakly_invariant if args.weak else strongly_invariant
+        try:
+            report.boolean(check(model, mon))
+        except SureLossError:
+            raise SureLossError("credal-level invariance undefined under sure loss") from None
+        return report.emit(0)
+    rep = invariance_report(model, mon)
+    witnesses = {
+        kind: {"vertex": _fmt_point(v), "map": list(t.image)}
+        for kind, (v, t) in rep.witnesses.items()
+    }
+    report.witness(
+        {
+            "weak_assessment_level": rep.weak_assessment_level,
+            "weak_credal_level": rep.weak_credal_level,
+            "strong": rep.strong,
+            "witnesses": witnesses,
         }
-        report.witness(
-            {
-                "weak_assessment_level": rep.weak_assessment_level,
-                "weak_credal_level": rep.weak_credal_level,
-                "strong": rep.strong,
-                "witnesses": witnesses,
-            }
-        )
+    )
     if rep.weak_credal_level is None:
         report.diagnostics.append("sure loss: credal-level checks not applicable")
     return report.emit(0)
@@ -211,7 +214,10 @@ def _cmd_mixture(args, report: Report) -> int:
 
 def _cmd_shift(args, report: Report) -> int:
     seq = parse_natgamble(report.read(args.natgamble))
-    if args.nmax < 1:
+    nmax = args.nmax
+    if nmax is None:
+        nmax = DEFAULT_M_MAX if args.op == "lres" else DEFAULT_N_MAX
+    if nmax < 1:
         raise ValidationError("--nmax", "window length or modulus must be >= 1")
     if args.trunc is not None:
         if not isinstance(seq, Truncated):
@@ -220,15 +226,15 @@ def _cmd_shift(args, report: Report) -> int:
             raise ValidationError("--trunc", "truncation outside the available window")
         seq = Truncated([Fraction(v, seq.scale) for v in seq.ints[: args.trunc]], seq.lo, seq.hi)
     if args.op == "lnex":
-        value = lnex_theta(seq, args.nmax)
+        value = lnex_theta(seq, nmax)
     elif args.op == "unex":
-        value = unex_theta(seq, args.nmax)
+        value = unex_theta(seq, nmax)
     elif args.op == "lsamp":
         value = lsamp_theta(seq)
     else:
-        if isinstance(seq, Truncated) and args.nmax > len(seq.ints):
+        if isinstance(seq, Truncated) and nmax > len(seq.ints):
             raise ValidationError("--nmax", "modulus exceeds the truncation length")
-        value = lnex_res(seq, args.nmax)
+        value = lnex_res(seq, nmax)
     report.rational(value.value, args.decimal)
     report.exact = value.exact
     if not value.exact:
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shift", help="shift-invariant functionals of a sequence gamble")
     p.add_argument("natgamble")
     p.add_argument("--op", choices=["lnex", "unex", "lsamp", "lres"], default="lnex")
-    p.add_argument("--nmax", type=int, default=50)
+    p.add_argument("--nmax", type=int, default=None, help="window length; for lres, the modulus")
     p.add_argument("--trunc", type=int, default=None)
     p.set_defaults(func=_cmd_shift)
 

@@ -3,16 +3,16 @@
 Weak invariance is symmetry *of* the model: the credal set is mapped into
 itself by every transformation.  Strong invariance models a belief *of*
 symmetry: every dominating prevision is fixed by every transformation.
-On a finite space both checks search the credal polytope's vertices for
-the first one a generator moves out of the set (weak) or at all (strong),
-and report it as a witness.
+Both are lower bounds on the natural extension of finitely many gambles,
+read off the assessment or decided by one LP each; only
+:func:`invariance_report` walks the credal vertices, for its witnesses.
 
-Everything else works from the assessment's rows, as linear facts about
-the credal set: the smallest strongly invariant dominating model (when it
-exists) minimises over the credal set intersected with the fixed-point
-polytope of the pushforward maps; the mixture lower prevision is one
-min-max LP over the credal set; and the quotient of a strongly invariant
-model maps each assessed gamble to its atom means.
+Everything else works from the assessment's rows too: the smallest
+strongly invariant dominating model (when it exists) minimises over the
+credal set intersected with the fixed-point polytope of the pushforward
+maps; the mixture lower prevision is one min-max LP over the credal set;
+and the quotient of a strongly invariant model maps each assessed gamble
+to its atom means.
 """
 
 from __future__ import annotations
@@ -59,8 +59,18 @@ def assessment_weakly_invariant(assessment: Assessment, m: TransformationMonoid)
     return True
 
 
-def _sorted_vertices(assessment: Assessment):
-    return sorted(credal_vertices(assessment))
+def _all_at_least(assessment: Assessment, pairs) -> bool:
+    """E(h) >= c for every (h, c) in ``pairs``, over a non-empty credal set.
+
+    Every dominating prevision honours an assessed bound, so an assessed
+    bound of at least c on h answers without an LP.
+    """
+    credal = CredalSet(assessment).nonempty()
+    for h, c in pairs:
+        b = assessment.bound(h)
+        if (b is None or b < c) and credal.minimise(h).value < c:
+            return False
+    return True
 
 
 def _weak_credal_witness(assessment: Assessment, vertices, m: TransformationMonoid):
@@ -83,31 +93,32 @@ def _strong_witness(vertices, m: TransformationMonoid):
 
 
 def credal_weakly_invariant(assessment: Assessment, m: TransformationMonoid) -> bool:
-    """T M(A) inside M(A) for every generator T, checked on vertices.
+    """T M(A) inside M(A) for every generator T.
 
-    Pushforward is linear and the credal set convex, so mapping every
-    vertex back into the set is equivalent to mapping the whole set into
-    itself.
+    (TP)(f) = P(lift(T, f)), so TP honours an assessed (f, b) for every
+    dominating P exactly when E(lift(T, f)) >= b.
     """
-    return _weak_credal_witness(assessment, _sorted_vertices(assessment), m) is None
+    lifted = ((lift(t, f), b) for f, b in assessment.items for t in m.generators)
+    return _all_at_least(assessment, lifted)
 
 
 def strongly_invariant(assessment: Assessment, m: TransformationMonoid) -> bool:
     """Every dominating prevision is fixed by every transformation.
 
-    A linear equality holds on a polytope iff it holds on the vertices, so
-    vertex fixedness under every generator settles it.
+    Each invariance row r has r.p = (Tp - p)_j, and one generator's rows sum
+    to zero, so lower envelopes >= 0 on every row force Tp = p on the credal set.
     """
-    return _strong_witness(_sorted_vertices(assessment), m) is None
+    rows = ((Gamble(assessment.space, r.coeffs), ZERO) for r in _invariance_rows(m))
+    return _all_at_least(assessment, rows)
 
 
 @dataclass(frozen=True)
 class InvarianceReport:
     """Joint result of the three invariance checks.
 
-    The credal-level fields are None when the assessment incurs sure loss:
-    there is no credal set to speak about, and only the assessment-level
-    check is reported.
+    The credal-level fields are None, with no witnesses, when the
+    assessment incurs sure loss: there is no credal set to speak about,
+    and only the assessment-level check is reported.
     """
 
     weak_assessment_level: bool
@@ -120,9 +131,9 @@ def invariance_report(assessment: Assessment, m: TransformationMonoid) -> Invari
     weak_domain = assessment_weakly_invariant(assessment, m)
     witnesses: dict = {}
     try:
-        vertices = _sorted_vertices(assessment)
+        vertices = sorted(credal_vertices(assessment))
     except SureLossError:
-        return InvarianceReport(weak_domain, None, None, {"sure_loss": True})
+        return InvarianceReport(weak_domain, None, None, {})
     weak_witness = _weak_credal_witness(assessment, vertices, m)
     strong_witness = _strong_witness(vertices, m)
     if weak_witness is not None:
@@ -210,9 +221,7 @@ def strongly_invariant_natex(
     dominating invariant prevision exists, and :class:`SureLossError`
     when even the credal set is empty.
     """
-    credal = CredalSet(assessment)
-    if credal.is_empty():
-        raise SureLossError("assessment incurs sure loss")
+    credal = CredalSet(assessment).nonempty()
     lp = SimplexLP(
         assessment.space.size,
         g.values,

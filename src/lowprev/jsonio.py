@@ -23,6 +23,11 @@ def _expect(cond, path, message):
         raise ValidationError(path, message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rational(value, path) -> Fraction:
     _expect(isinstance(value, str), path, f"expected a rational string, got {value!r}")
     return parse_rational(value, path)
@@ -74,7 +79,7 @@ def parse_transformation(doc, space: Space, path="transformation") -> Transforma
     )
     for i, j in enumerate(image):
         _expect(
-            isinstance(j, int) and 0 <= j < space.size,
+            _is_int(j) and 0 <= j < space.size,
             f"{path}.map[{i}]",
             f"index {j!r} outside 0..{space.size - 1}",
         )
@@ -181,12 +186,13 @@ def parse_setfunction(doc, path="setfunction") -> SetFunction:
         for i, ev in enumerate(events):
             _expect(isinstance(ev, list), f"{path}.events[{i}]", "expected a list of labels")
         space = parse_space(max(events, key=len), f"{path}.events")
-    table = []
+    table = {}
     for i, ev in enumerate(events):
         members = parse_event(ev, space, f"{path}.events[{i}]")
-        table.append((members, values[i]))
+        _expect(members not in table, f"{path}.events[{i}]", "event listed twice")
+        table[members] = values[i]
     try:
-        return SetFunction(space, tuple(table))
+        return SetFunction(space, tuple(table.items()))
     except ValueError as exc:
         raise ValidationError(f"{path}.events", str(exc)) from None
 
@@ -197,8 +203,8 @@ def parse_scenario(doc, path="scenario"):
     for key in ("kappa", "n_star", "observed", "count_prior", "query_gamble"):
         _expect(key in doc, f"{path}.{key}", "missing field")
     kappa, n_star = doc["kappa"], doc["n_star"]
-    _expect(isinstance(kappa, int) and kappa >= 2, f"{path}.kappa", "kappa must be an int >= 2")
-    _expect(isinstance(n_star, int) and n_star >= 1, f"{path}.n_star", "n_star must be an int >= 1")
+    _expect(_is_int(kappa) and kappa >= 2, f"{path}.kappa", "kappa must be an int >= 2")
+    _expect(_is_int(n_star) and n_star >= 1, f"{path}.n_star", "n_star must be an int >= 1")
     full = CategorySpace(kappa, n_star)
     observed = doc["observed"]
     _expect(
@@ -208,7 +214,7 @@ def parse_scenario(doc, path="scenario"):
     )
     for i, v in enumerate(observed):
         _expect(
-            isinstance(v, int) and 1 <= v <= kappa,
+            _is_int(v) and 1 <= v <= kappa,
             f"{path}.observed[{i}]",
             f"category {v!r} outside 1..{kappa}",
         )
@@ -260,7 +266,7 @@ def detect_and_parse(doc):
                 )
                 for j, v in enumerate(g["map"]):
                     _expect(
-                        isinstance(v, int) and v >= 0,
+                        _is_int(v) and v >= 0,
                         f"generators[{i}].map[{j}]",
                         f"index {v!r} is not a non-negative integer",
                     )

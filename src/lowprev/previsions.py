@@ -118,6 +118,12 @@ class CredalSet:
     def is_empty(self) -> bool:
         return solve_min(self.lp).status == "infeasible"
 
+    def nonempty(self) -> "CredalSet":
+        """This credal set; raises :class:`SureLossError` when it is empty."""
+        if self.is_empty():
+            raise SureLossError("assessment incurs sure loss")
+        return self
+
     def contains(self, point: Sequence[Fraction]) -> bool:
         return satisfies(self.lp, point)
 
@@ -168,9 +174,7 @@ def coherent_version(assessment: Assessment) -> Assessment:
 
     The result is the coherent assessment with the same credal set.
     """
-    credal = CredalSet(assessment)
-    if credal.is_empty():
-        raise SureLossError("assessment incurs sure loss")
+    credal = CredalSet(assessment).nonempty()
     items = tuple((f, credal.minimise(f).value) for f, _ in assessment.items)
     return Assessment(assessment.space, items)
 

@@ -29,7 +29,8 @@ from .rationals import frac
 
 ZERO = Fraction(0)
 
-DEFAULT_N_MAX = 50
+DEFAULT_N_MAX = 50  # window length of the windowed functionals
+DEFAULT_M_MAX = 100  # modulus of the residue-set estimate on a truncation
 
 
 @dataclass(frozen=True)
@@ -323,7 +324,7 @@ def residue_estimate(f: Truncated, modulus: int) -> Fraction:
     return Fraction(total, modulus * f.scale)
 
 
-def lnex_res(f: NatGamble, m_max: int = 100) -> ShiftValue:
+def lnex_res(f: NatGamble, m_max: int = DEFAULT_M_MAX) -> ShiftValue:
     """Natural extension of the residue-set assessments.
 
     The assessments give every arithmetic progression with modulus m the

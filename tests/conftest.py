@@ -1,6 +1,7 @@
 """Shared random generators for the exact-arithmetic test suite.
 
-Everything is seeded: the suite is deterministic run to run.
+Everything is seeded: the suite is deterministic run to run.  Hypothesis
+runs derandomized, so its examples are the same every run too.
 """
 
 from __future__ import annotations
@@ -9,8 +10,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from lowprev import Assessment, Gamble, Space, Transformation
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def rnd_frac(rng: random.Random, lo=-8, hi=8, max_den=4) -> Fraction:

@@ -1,10 +1,13 @@
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from lowprev.cli import main
+from lowprev.cli import main, report_rational
+from lowprev.jsonio import parse_natgamble
+from lowprev.shift import lnex_res
 from lowprev.examples import names as example_names
 
 
@@ -104,6 +107,48 @@ class TestInvarianceCommands:
         mono = write(tmp_path, "mono2.json", {"generators": [{"map": [1, 0]}]})
         code, out = run_cli(["invariance", model, "--monoid", mono, "--weak"])
         assert code == 2 and "result" not in json.loads(out)
+
+    @pytest.fixture
+    def sure_loss_argv(self, tmp_path):
+        doc = {"space": ["1", "2"], "items": [{"gamble": {"values": ["1", "1"]}, "lower": "2"}]}
+        mono = write(tmp_path, "mono.json", {"generators": [{"map": [1, 0]}]})
+        return ["invariance", write(tmp_path, "loss.json", doc), "--monoid", mono]
+
+    def test_report_under_sure_loss(self, sure_loss_argv):
+        code, out = run_cli(sure_loss_argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["diagnostics"] == ["sure loss: credal-level checks not applicable"]
+        assert payload["result"] == {
+            "kind": "witness",
+            "weak_assessment_level": True,
+            "weak_credal_level": None,
+            "strong": None,
+            "witnesses": {},
+        }
+
+    @pytest.mark.parametrize("flag", ["--weak", "--strong"])
+    def test_flag_refusal_text_under_sure_loss(self, sure_loss_argv, flag):
+        code, out = run_cli(sure_loss_argv + [flag])
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [
+            "precondition violated: credal-level invariance undefined under sure loss"
+        ]
+
+    def test_flags_answer_past_eight_outcomes(self, tmp_path):
+        space = [str(i) for i in range(9)]
+        pins = [
+            {"gamble": {"values": ["1" if j == i else "0" for j in range(9)]}, "lower": "1/9"}
+            for i in range(9)
+        ]
+        uniform = write(tmp_path, "uniform9.json", {"space": space, "items": pins})
+        vacuous = write(tmp_path, "vacuous9.json", {"space": space, "items": []})
+        mono = write(tmp_path, "cycle9.json", {"generators": [{"map": list(range(1, 9)) + [0]}]})
+        for model, strong in ((uniform, True), (vacuous, False)):
+            code, out = run_cli(["invariance", model, "--monoid", mono, "--strong"])
+            assert code == 0 and json.loads(out)["result"]["value"] is strong
+            code, out = run_cli(["invariance", model, "--monoid", mono, "--weak"])
+            assert code == 0 and json.loads(out)["result"]["value"] is True
 
     def test_invnatex_formula(self, tmp_path, vacuous3):
         # single 3-cycle: the only invariant prevision is uniform
@@ -344,6 +389,39 @@ class TestMalformedInputs:
         sf = write(tmp_path, "sf.json", {"events": [], "values": []})
         self.assert_refused_at(["validate", sf], "setfunction.events")
 
+    def test_setfunction_event_listed_twice(self, tmp_path):
+        doc = {"events": [[], ["1", "2"], ["2", "1"]], "values": ["0", "1/2", "1"]}
+        sf = write(tmp_path, "sf.json", doc)
+        g = write(tmp_path, "g.json", {"values": ["1", "0"]})
+        self.assert_refused_at(["validate", sf], "setfunction.events[2]")
+        self.assert_refused_at(["choquet", sf, "--gamble", g], "setfunction.events[2]")
+
+    def test_boolean_map_index(self, tmp_path, vacuous3):
+        mono = write(tmp_path, "mono.json", {"generators": [{"map": [True, 0, 2]}]})
+        self.assert_refused_at(["invariance", vacuous3, "--monoid", mono], "monoid.generators[0].map[0]")
+        self.assert_refused_at(["validate", mono], "generators[0].map[0]")
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("kappa", True, "scenario.kappa"),
+            ("n_star", True, "scenario.n_star"),
+            ("observed", [True], "scenario.observed[0]"),
+        ],
+    )
+    def test_boolean_scenario_integers(self, tmp_path, field, value, path):
+        doc = {
+            "kappa": 2,
+            "n_star": 3,
+            "observed": [1],
+            "count_prior": {"items": []},
+            "query_gamble": {"values": ["1", "1", "0", "0"]},
+        }
+        doc[field] = value
+        scenario = write(tmp_path, "scenario.json", doc)
+        self.assert_refused_at(["exchange", "update", scenario], path)
+        self.assert_refused_at(["validate", scenario], path)
+
     def test_negative_decimal_digits(self, tmp_path, vacuous3):
         g = write(tmp_path, "g.json", {"values": ["3", "1", "2"]})
         self.assert_refused_at(["--decimal", "-1", "natex", vacuous3, "--gamble", g], "--decimal")
@@ -378,6 +456,13 @@ class TestBoundedRequests:
         self.assert_refused_at(["shift", doc, "--op", "lres"], "--nmax")
         code, out = run_cli(["shift", doc, "--op", "lres", "--nmax", "4"])
         assert code == 0 and json.loads(out)["result"]["value"] == "3/4"
+
+    def test_residue_modulus_defaults_to_the_library_default(self, tmp_path):
+        doc = {"kind": "truncated", "window": ["0"] + ["1"] * 119, "lo": "0", "hi": "1"}
+        code, out = run_cli(["shift", write(tmp_path, "seq.json", doc), "--op", "lres"])
+        expected = lnex_res(parse_natgamble(doc)).value
+        assert expected == Fraction(99, 100)
+        assert code == 0 and json.loads(out)["result"]["value"] == report_rational(expected)
 
     def test_decimal_digits_are_capped(self, tmp_path, vacuous3):
         g = write(tmp_path, "g.json", {"values": ["3", "1", "2"]})

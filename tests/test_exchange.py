@@ -148,6 +148,27 @@ class TestExchangeableModels:
             assert set(marginals) == set(credal_vertices(prior))
 
 
+class TestExchangeabilityPastEightSequences:
+    """Strong invariance is decided from the rows, so no outcome cap applies."""
+
+    def test_two_categories_four_variables(self):
+        cs = CategorySpace(2, 4)
+        assert cs.space.size == 16
+        joint = exchangeable_assessment(cs, rnd_count_assessment(random.Random(16), cs, max_items=3))
+        assert is_exchangeable(cs, joint)
+        # without one tie between two sequences of equal counts, a
+        # dominating prevision can move mass between them
+        untied = Assessment(cs.space, joint.items[2:])
+        assert not is_exchangeable(cs, untied)
+        assert not is_exchangeable(cs, Assessment.vacuous(cs.space))
+
+    def test_three_categories_three_variables(self):
+        cs = CategorySpace(3, 3)
+        assert cs.space.size == 27
+        joint = exchangeable_assessment(cs, rnd_count_assessment(random.Random(27), cs, max_items=3))
+        assert is_exchangeable(cs, joint)
+
+
 class TestLikelihood:
     def test_examples(self):
         assert likelihood((1, 0), (2, 1)) == F(2, 3)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowprev import (
     Assessment,
@@ -34,6 +35,7 @@ from lowprev import (
     strongly_invariant,
     strongly_invariant_natex,
     symmetrize,
+    weakly_invariant_closure,
 )
 from lowprev.invariance import AtomLowerPrevision, quotient_space, words_up_to
 
@@ -193,6 +195,92 @@ class TestStrongInvariance:
         bad = Assessment(space3, ((indicator(event(space3, ["1"])), F(2)),))
         report = invariance_report(bad, m)
         assert report.weak_credal_level is None and report.strong is None
+
+
+class TestInvarianceFromTheRows:
+    """The predicates read the assessment's rows; the vertex report is the oracle."""
+
+    @staticmethod
+    def _random_model(rng, trial):
+        n = rng.randint(2, 6)
+        space = Space(tuple(str(i) for i in range(n)))
+        kind = trial % 4
+        if kind == 0:  # strongly invariant under a permutation group
+            group = monoid(space, [rnd_permutation(rng, space) for _ in range(rng.randint(1, 2))])
+            return strongly_invariant_sample(rng, space, group), group
+        if kind == 1:  # weakly invariant, usually not strongly
+            t = rnd_permutation(rng, space) if trial % 8 == 1 else rnd_map(rng, space)
+            # one item: the lifting closure already multiplies the oracle's vertex count
+            return rnd_weakly_invariant_assessment(rng, space, t, max_items=1), monoid(space, [t])
+        gens = [rnd_map(rng, space) if rng.random() < 0.5 else rnd_permutation(rng, space)]
+        m = monoid(space, gens, cap=1000)
+        if kind == 2:
+            return rnd_asl_assessment(rng, space, max_items=3), m
+        # sure loss: the lower probabilities of two disjoint events sum past 1
+        first = indicator(event(space, [space.outcomes[0]]))
+        return Assessment(space, ((first, F(3, 5)), (1 - first, F(3, 5)))), m
+
+    def test_verdicts_match_the_vertex_report(self):
+        rng = random.Random(8080)
+        seen = set()
+        for trial in range(48):
+            a, m = self._random_model(rng, trial)
+            report = invariance_report(a, m)
+            if report.strong is None:
+                for check in (credal_weakly_invariant, strongly_invariant):
+                    with pytest.raises(SureLossError):
+                        check(a, m)
+                seen.add("sure loss")
+                continue
+            verdicts = (credal_weakly_invariant(a, m), strongly_invariant(a, m))
+            assert verdicts == (report.weak_credal_level, report.strong)
+            seen.add(verdicts)
+        # strong implies weak, so (False, True) cannot occur
+        assert seen == {(True, True), (True, False), (False, False), "sure loss"}
+
+    def test_no_vertex_routine_is_called(self, monkeypatch):
+        import lowprev.invariance
+        import lowprev.previsions
+        import lowprev.solver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("vertex enumeration called")
+
+        monkeypatch.setattr(lowprev.solver, "enumerate_vertices", refuse)
+        monkeypatch.setattr(lowprev.previsions, "enumerate_vertices", refuse)
+        monkeypatch.setattr(lowprev.invariance, "credal_vertices", refuse)
+        for n in (4, 9):
+            space = Space(tuple(str(i) for i in range(n)))
+            cycle = monoid(space, [Transformation(space, tuple(list(range(1, n)) + [0]))])
+            uniform = Assessment.from_prevision(space, [F(1, n)] * n)
+            vacuous = Assessment.vacuous(space)
+            assert credal_weakly_invariant(uniform, cycle) and strongly_invariant(uniform, cycle)
+            assert credal_weakly_invariant(vacuous, cycle) and not strongly_invariant(vacuous, cycle)
+            skewed = Assessment(space, ((indicator(event(space, ["0"])), F(1, 2)),))
+            assert not credal_weakly_invariant(skewed, cycle)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_invariant_natex_is_the_natex_of_the_group_average(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        space = Space(tuple(str(i) for i in range(n)))
+        images = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2), label="gens")
+        group = monoid(space, [Transformation(space, tuple(im)) for im in images])
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n), label="anchor")
+        anchor = [F(w, sum(weights)) for w in weights]
+        items = []
+        for _ in range(data.draw(st.integers(0, 2), label="items")):
+            # events: a 0/1 gamble has at most 10 lifts under S5, which keeps the LP small
+            f = gamble(space, data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+            # at most the anchor's mean of every lift, so the anchor's group
+            # average is an invariant dominator of the lifting closure
+            low = min(sum(a * v for a, v in zip(anchor, lift(t, f).values)) for t in group.closure)
+            items.append((f, low - data.draw(st.integers(0, 2))))
+        a = weakly_invariant_closure(Assessment(space, tuple(items)), group, cap=1000)
+        g = gamble(space, data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label="g"))
+        lifts = [lift(t, g) for t in group.closure]
+        g_bar = gamble(space, [sum(h.values[i] for h in lifts) / len(lifts) for i in range(n)])
+        assert strongly_invariant_natex(a, group, g) == natural_extension(a, g_bar)
 
 
 class TestInvariantPrevisionsExist:
