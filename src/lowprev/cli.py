@@ -381,6 +381,9 @@ def main(argv=None) -> int:
     except LowPrevError as exc:
         report.diagnostics.append(str(exc))
         return report.emit(2)
+    except Exception as exc:  # a defect still gets one JSON line, not a traceback
+        report.diagnostics.append(f"internal error: {type(exc).__name__}: {exc}")
+        return report.emit(2)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Exact rational linear programming over the probability simplex.
 
-A small two-phase simplex tableau with Bland's pivoting rule, run entirely
-on :class:`fractions.Fraction`.  Bland's rule guarantees termination, and
-exact arithmetic makes optimality and feasibility decisions sharp, so
-callers can assert equalities rather than tolerances.
+A small two-phase simplex tableau with Bland's pivoting rule.  Inputs and
+outputs are :class:`fractions.Fraction`; the tableau itself is integer,
+over one common denominator, pivoted by exact integer division
+(fraction-free pivoting after Edmonds and Bareiss, as in Avis's lrs).
+Bland's rule guarantees termination, and exact arithmetic makes optimality
+and feasibility decisions sharp, so callers can assert equalities rather
+than tolerances.
 
 On top of the raw solver sit the four operations the rest of the library
 uses: minimising a linear objective over a polytope inside the simplex,
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Literal, Sequence
 
 from .errors import CapExceededError, PositivityError
@@ -84,91 +87,127 @@ class LPResult:
 # standard-form core: min c.x  s.t.  A.x = b, x >= 0
 # ---------------------------------------------------------------------------
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            prow = tableau[row]
-            tableau[i] = [v - f * w for v, w in zip(r, prow)]
-    basis[row] = col
+def _pivot(rows, basis, d, r, k):
+    """Fraction-free pivot on entry (r, k) of the integer tableau rows / d.
+
+    Every row, the objective row included, is rescaled to the new common
+    denominator, the pivot entry; the division by the old one is exact
+    (Bareiss).  A negative pivot, possible only when driving an artificial
+    out, negates every row so the denominator stays positive.  Returns the
+    new denominator.
+    """
+    prow = rows[r]
+    p = prow[k]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[k]
+        if f:
+            rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+        elif p != d:
+            rows[i] = [p * v // d for v in row]
+    basis[r] = k
+    if p < 0:
+        rows[:] = [[-v for v in row] for row in rows]
+        p = -p
+    return p
 
 
-def _bland_min(tableau, basis, costs, ncols):
+def _bland_min(rows, basis, d, ncols):
     """Run primal simplex to optimality on a min problem.
 
-    ``tableau`` holds m basic rows plus nothing else; ``costs`` is the full
-    cost vector.  Returns 'optimal' or 'unbounded'.  Reduced costs are
-    recomputed each round; sizes here are tiny and Fractions dominate the
-    cost anyway.
+    ``rows`` holds one row per basic variable and, last, the reduced-cost
+    row scaled by the denominator ``d``; each ends with its rhs.  Returns
+    the status, 'optimal' or 'unbounded', and the final denominator.
     """
-    m = len(tableau)
+    m = len(basis)
     while True:
-        # reduced costs: c_j - c_B . B^-1 A_j
-        cb = [costs[basis[i]] for i in range(m)]
-        entering = -1
-        for j in range(ncols):
-            red = costs[j] - sum(cb[i] * tableau[i][j] for i in range(m))
-            if red < 0:
-                entering = j
-                break  # Bland: first negative index
+        z = rows[-1]
+        entering = next((j for j in range(ncols) if z[j] < 0), -1)  # Bland
         if entering < 0:
-            return "optimal"
-        leaving, best = -1, None
+            return "optimal", d
+        leaving = -1
         for i in range(m):
-            a = tableau[i][entering]
+            a = rows[i][entering]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best, leaving = ratio, i
+                if leaving < 0:
+                    leaving, a_best, b_best = i, a, rows[i][-1]
+                    continue
+                # rhs_i / a < b_best / a_best, cross-multiplied
+                lhs, rhs = rows[i][-1] * a_best, b_best * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, a_best, b_best = i, a, rows[i][-1]
         if leaving < 0:
-            return "unbounded"
-        _pivot(tableau, basis, leaving, entering)
+            return "unbounded", d
+        d = _pivot(rows, basis, d, leaving, entering)
+
+
+def _scaled(values):
+    """Integers proportional to rationals: (ints, lcm of the denominators)."""
+    # star-args from a list: a generator would leave resized tuples piling
+    # up in the interpreter's per-size tuple free lists
+    s = lcm(*[v.denominator for v in values])
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 def solve_standard(a_rows, b, c):
     """Exact two-phase simplex for min c.x s.t. A.x = b, x >= 0.
 
     Returns (status, value, x) with status one of 'optimal', 'infeasible',
-    'unbounded'.
+    'unbounded'.  Each row is scaled to integers by the lcm of its
+    denominators, and the tableau is kept as integers over one common
+    denominator.
     """
     m = len(a_rows)
     n = len(c)
     # phase 1 with one artificial per row, rhs made non-negative
-    tableau = []
+    rows, scales = [], []
     for i in range(m):
-        row = list(a_rows[i]) + [ZERO] * m + [b[i]]
-        if b[i] < 0:
-            row = [-v for v in row]
-        row[n + i] = ONE
-        tableau.append(row)
+        ints, s = _scaled(list(a_rows[i]) + [b[i]])
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
+        art = [0] * m
+        art[i] = 1
+        rows.append(ints[:n] + art + ints[n:])
+        scales.append(s)
+    # artificial i costs lcm/s_i: the unit cost of the unscaled artificial,
+    # times lcm; its reduced costs start at minus the weighted row sum
+    top = lcm(*scales)
+    cost = [0] * (n + m + 1)
+    for s, row in zip(scales, rows):
+        w = top // s
+        cost = [v - w * a for v, a in zip(cost, row)]
+    cost[n:n + m] = [0] * m
+    rows.append(cost)
     basis = [n + i for i in range(m)]
-    phase1_costs = [ZERO] * n + [ONE] * m
-    _bland_min(tableau, basis, phase1_costs, n + m)
-    infeas = sum(tableau[i][-1] for i in range(m) if basis[i] >= n)
-    if infeas != 0:
+    _, d = _bland_min(rows, basis, 1, n + m)
+    rows.pop()
+    if any(rows[i][-1] for i in range(m) if basis[i] >= n):
         return "infeasible", None, None
     # drive leftover artificials out of the basis (degenerate at 0)
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            col = next((j for j in range(n) if rows[i][j] != 0), None)
             if col is not None:
-                _pivot(tableau, basis, i, col)
+                d = _pivot(rows, basis, d, i, col)
     # drop redundant rows still pinned to an artificial
     keep = [i for i in range(m) if basis[i] < n]
-    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
+    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    status = _bland_min(tableau, basis, list(c), n)
+    # phase 2 from the reduced costs d.c - c_B.rows, c scaled to integers
+    cints, s = _scaled(c)
+    cost = [d * v for v in cints] + [0]
+    for bi, row in zip(basis, rows):
+        if cints[bi]:
+            cost = [v - cints[bi] * a for v, a in zip(cost, row)]
+    rows.append(cost)
+    status, d = _bland_min(rows, basis, d, n)
     if status == "unbounded":
         return "unbounded", None, None
     x = [ZERO] * n
     for i, bi in enumerate(basis):
-        x[bi] = tableau[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return "optimal", value, tuple(x)
+        x[bi] = Fraction(rows[i][-1], d)
+    return "optimal", Fraction(-rows[-1][-1], d * s), tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +345,8 @@ def _solve_affine(eq_rows, eq_rhs, n):
 
 def _primitive(coeffs):
     """Scale a rational row by a positive factor to coprime integers."""
-    denom_lcm = 1
-    for v in coeffs:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints, _ = _scaled(coeffs)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(Fraction(v) for v in ints)

@@ -8,6 +8,7 @@ events, and the pushforward action on probability mass functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
@@ -22,15 +23,28 @@ CLOSURE_CAP = 10_000
 class TransformationMonoid:
     """Generators plus their composition closure (identity included).
 
-    ``truncated`` flags that the closure hit the cap and is incomplete;
-    structural classification then refuses to run, but invariant atoms
-    only ever need the generators.
+    The closure is enumerated on first read, up to ``cap`` elements.
+    ``truncated`` flags that it hit the cap and is incomplete; structural
+    classification then refuses to run, but invariant atoms only ever
+    need the generators.
     """
 
     space: Space
     generators: tuple[Transformation, ...]
-    closure: frozenset[Transformation]
-    truncated: bool = False
+    cap: int = CLOSURE_CAP
+
+    @cached_property
+    def _enumerated(self) -> tuple[frozenset[Transformation], bool]:
+        elements = list(islice(words(self.generators), self.cap + 1))
+        return frozenset(elements[: self.cap]), len(elements) > self.cap
+
+    @property
+    def closure(self) -> frozenset[Transformation]:
+        return self._enumerated[0]
+
+    @property
+    def truncated(self) -> bool:
+        return self._enumerated[1]
 
 
 def words(
@@ -70,8 +84,7 @@ def closure(generators: Iterable[Transformation], cap: int = CLOSURE_CAP) -> Tra
     for g in gens:
         if g.space != space:
             raise ValueError("all generators must act on the same space")
-    elements = list(islice(words(gens), cap + 1))
-    return TransformationMonoid(space, gens, frozenset(elements[:cap]), len(elements) > cap)
+    return TransformationMonoid(space, gens, cap)
 
 
 def monoid(space: Space, generators: Iterable[Transformation], cap: int = CLOSURE_CAP) -> TransformationMonoid:

@@ -480,6 +480,23 @@ class TestBoundedRequests:
         assert result["decimal"] == "-" + "1" + "0" * 400 + ".333"
 
 
+class TestInternalErrors:
+    def test_internal_error_is_one_json_line(self, tmp_path, vacuous3, monkeypatch):
+        def broken(model, g):
+            raise AssertionError("bounded LP reported unbounded")
+
+        monkeypatch.setattr("lowprev.cli.natural_extension", broken)
+        g = write(tmp_path, "g.json", {"values": ["3", "1", "2"]})
+        code, out = run_cli(["natex", vacuous3, "--gamble", g])
+        assert code == 2
+        assert out.endswith("\n") and len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert "result" not in payload
+        assert payload["diagnostics"] == [
+            "internal error: AssertionError: bounded LP reported unbounded"
+        ]
+
+
 class TestWorkedExamples:
     @pytest.mark.parametrize("name", example_names())
     def test_every_named_example_replays(self, name):

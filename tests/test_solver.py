@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from lowprev import CapExceededError, Constraint, SimplexLP, enumerate_vertices, solve_fractional_min, solve_min, solve_minmax
 from lowprev.errors import PositivityError
-from lowprev.solver import extreme_points, polytope_inequalities, satisfies
+from lowprev.solver import LPResult, extreme_points, polytope_inequalities, satisfies, solve_standard
 
 F = Fraction
 
@@ -299,4 +300,159 @@ class TestIntervalBounds:
         )
         assert enumerate_vertices(lp) == frozenset(
             {(F(1, 3), F(2, 3), F(0)), (F(1, 3), F(0), F(2, 3))}
+        )
+
+
+def _independent_solution(cols, b):
+    """x with sum_j x_j cols[j] == b, or None if inconsistent or not unique."""
+    m, k = len(b), len(cols)
+    aug = [[col[i] for col in cols] + [b[i]] for i in range(m)]
+    for j in range(k):
+        piv = next((i for i in range(j, m) if aug[i][j] != 0), None)
+        if piv is None:
+            return None  # dependent columns
+        aug[j], aug[piv] = aug[piv], aug[j]
+        aug[j] = [v / aug[j][j] for v in aug[j]]
+        for i in range(m):
+            if i != j and aug[i][j] != 0:
+                f = aug[i][j]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[j])]
+    if any(aug[i][k] != 0 for i in range(k, m)):
+        return None
+    return [aug[i][k] for i in range(k)]
+
+
+def basis_oracle(a_rows, b, c):
+    """min c.x over A.x = b, x >= 0 by enumerating basic feasible solutions.
+
+    Supports of at most m independent columns reach every vertex, redundant
+    rows included; the caller keeps the polyhedron bounded.
+    """
+    m, n = len(a_rows), len(c)
+    cols = [[row[j] for row in a_rows] for j in range(n)]
+    best = None
+    for size in range(min(m, n) + 1):
+        for support in itertools.combinations(range(n), size):
+            xs = _independent_solution([cols[j] for j in support], b)
+            if xs is None or any(v < 0 for v in xs):
+                continue
+            value = sum((c[j] * v for j, v in zip(support, xs)), F(0))
+            best = value if best is None else min(best, value)
+    return ("infeasible", None) if best is None else ("optimal", best)
+
+
+class TestSolveStandardOracle:
+    @staticmethod
+    def random_program(rng):
+        m, n = rng.randint(1, 3), rng.randint(1, 6)
+        rows = [
+            [F(rng.randint(-5, 5), rng.choice([1, 2, 3, 5])) for _ in range(n)]
+            for _ in range(m)
+        ]
+        rhs = [F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(m)]
+        if rng.random() < 0.5:  # feasible: the rows at a point of the simplex
+            point = [F(rng.randint(0, 2)) for _ in range(n - 1)] + [F(1)]
+            point = [v / sum(point) for v in point]
+            rhs = [dot(row, point) for row in rows]
+        if m >= 2 and rng.random() < 0.4:  # a redundant row, possibly negated
+            i, j = rng.sample(range(m), 2)
+            k = F(rng.choice([-3, -1, 2]), rng.choice([1, 2]))
+            rows[j], rhs[j] = [k * v for v in rows[i]], k * rhs[i]
+        at = rng.randint(0, m)  # sum(x) == 1 keeps the program bounded
+        rows.insert(at, [F(1)] * n)
+        rhs.insert(at, F(1))
+        cost = [F(rng.randint(-5, 5), rng.choice([1, 2, 4])) for _ in range(n)]
+        return rows, rhs, cost
+
+    def check(self, rows, rhs, cost):
+        status, value, x = solve_standard(rows, rhs, cost)
+        assert (status, value) == basis_oracle(rows, rhs, cost)
+        if status == "optimal":
+            assert all(v >= 0 for v in x)
+            assert all(dot(row, x) == r for row, r in zip(rows, rhs))
+            assert dot(cost, x) == value
+        return status
+
+    def test_matches_basis_enumeration(self):
+        rng = random.Random(600)
+        statuses = [self.check(*self.random_program(rng)) for _ in range(300)]
+        assert 50 <= statuses.count("infeasible") <= 250
+
+    def test_redundant_row_driven_out_by_a_negative_pivot(self):
+        # the third row is -2 times the second; after phase 1 its artificial
+        # stays basic at 0 and leaves on a negative entry
+        rows = [[F(1), F(1), F(1)], [F(-1, 2), F(1, 2), F(1, 2)], [F(1), F(-1), F(-1)]]
+        rhs = [F(1), F(1, 2), F(-1)]
+        assert self.check(rows, rhs, [F(-2), F(-2), F(0)]) == "optimal"
+        assert solve_standard(rows, rhs, [F(-2), F(-2), F(0)]) == ("optimal", F(-2), (0, 1, 0))
+
+
+class TestPivotPath:
+    """Literal witnesses of degenerate LPs with tied optima.
+
+    Each optimum is attained at more than one point; the witness is the one
+    Bland's rule reaches, so these pin the pivot path, not only the value.
+    """
+
+    TWO = SimplexLP(
+        2,
+        None,
+        (
+            Constraint((F(1), F(0)), ">=", F(1, 4)),
+            Constraint((F(-1), F(0)), ">=", F(-1, 2)),
+        ),
+    )
+    THREE = SimplexLP(
+        3,
+        None,
+        (
+            Constraint((F(1), F(0), F(0)), ">=", F(1, 3)),
+            Constraint((F(-1), F(0), F(0)), ">=", F(-1, 3)),
+        ),
+    )
+    DICE = SimplexLP(
+        6,
+        (F(1), F(1), F(0), F(0), F(0), F(1)),
+        tuple(Constraint(unit_row(6, j), ">=", F(1, 12)) for j in range(6)),
+    )
+
+    def test_solve_min(self):
+        assert solve_min(self.TWO) == LPResult("optimal", 0, (F(1, 2), F(1, 2)))
+        assert solve_min(self.THREE) == LPResult("optimal", 0, (F(1, 3), F(2, 3), 0))
+        tied = self.THREE.with_objective((F(0), F(1), F(1)))
+        assert solve_min(tied) == LPResult("optimal", F(2, 3), (F(1, 3), F(2, 3), 0))
+        assert solve_min(self.DICE) == LPResult(
+            "optimal", F(1, 4), (F(1, 12), F(1, 12), F(7, 12), F(1, 12), F(1, 12), F(1, 12))
+        )
+
+    def test_solve_minmax(self):
+        result = solve_minmax([(F(1), F(0)), (F(0), F(1))], self.TWO)
+        assert result == LPResult("optimal", F(1, 2), (F(1, 2), F(1, 2)))
+        result = solve_minmax([(F(0), F(1), F(1))] * 2, self.THREE)
+        assert result == LPResult("optimal", F(2, 3), (F(1, 3), F(2, 3), 0))
+        pairs = [(F(1), F(1), F(0), F(0), F(0), F(0)), (F(0), F(0), F(1), F(1), F(0), F(0))]
+        assert solve_minmax(pairs, self.DICE) == LPResult(
+            "optimal", F(1, 6), (F(1, 12), F(1, 12), F(1, 12), F(1, 12), F(7, 12), F(1, 12))
+        )
+
+    def test_solve_fractional_min(self):
+        result = solve_fractional_min((F(0), F(1), F(1)), (F(1), F(2), F(2)), self.THREE)
+        assert result == LPResult("optimal", F(2, 5), (F(1, 3), F(2, 3), 0))
+        result = solve_fractional_min((F(0), F(0)), (F(1), F(2)), self.TWO)
+        assert result == LPResult("optimal", 0, (F(1, 2), F(1, 2)))
+        num = (F(1), F(1), F(0), F(0), F(0), F(1))
+        den = (F(1), F(1), F(1), F(1), F(2), F(2))
+        assert solve_fractional_min(num, den, self.DICE) == LPResult(
+            "optimal", F(3, 20), (F(1, 12), F(1, 12), F(1, 12), F(1, 12), F(7, 12), F(1, 12))
+        )
+
+    def test_beale_witness(self):
+        rows = [
+            [F(1, 4), F(-60), F(-1, 25), F(9), F(1), F(0), F(0)],
+            [F(1, 2), F(-90), F(-1, 50), F(3), F(0), F(1), F(0)],
+            [F(0), F(0), F(1), F(0), F(0), F(0), F(1)],
+        ]
+        cost = [F(-3, 4), F(150), F(-1, 50), F(6), F(0), F(0), F(0)]
+        assert solve_standard(rows, [F(0), F(0), F(1)], cost) == (
+            "optimal", F(-1, 20), (F(1, 25), 0, 1, 0, F(3, 100), 0, 0)
         )
