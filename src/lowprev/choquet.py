@@ -68,12 +68,7 @@ class SetFunction:
             raise KeyError(f"event {sorted(key)} outside the domain") from None
 
     def is_monotone(self) -> bool:
-        return all(
-            self(a) <= self(b)
-            for a in self.domain()
-            for b in self.domain()
-            if a <= b
-        )
+        return is_n_monotone(self, 1)
 
 
 def on_all_events(space: Space, fn) -> SetFunction:
@@ -91,15 +86,20 @@ def is_n_monotone(s: SetFunction, n: int) -> bool:
 
     For every event A and every choice of up to n events A_1..A_p from the
     domain, the inclusion-exclusion sum of s over A meet the subfamilies
-    must be non-negative.  Distinct choices suffice: repeated events
-    collapse the sum onto a lower order.
+    must be non-negative.  Families of distinct domain events strictly
+    below A suffice:
+    - the sum reads only the meets A & A_i, which are domain events;
+    - a member with A & A_i = A cancels its own terms, so the sum is 0;
+    - two members with one meet reduce the sum to the family without one
+      of them, a lower order that is also checked.
     """
     if n < 1:
         raise ValueError("n-monotonicity needs n >= 1")
     domain = s.domain()
     for a in domain:
+        below = [b for b in domain if b < a]
         for p in range(1, n + 1):
-            for family in itertools.combinations(domain, p):
+            for family in itertools.combinations(below, p):
                 total = s(a)
                 for bits in range(1, 1 << p):
                     meet = a

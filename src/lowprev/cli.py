@@ -93,7 +93,7 @@ def _load(path: str):
 
 
 class Report:
-    def __init__(self, command: str):
+    def __init__(self, command: str | None):
         self.command = command
         self.inputs: dict[str, str] = {}
         self.result = None
@@ -279,8 +279,13 @@ def _cmd_validate(args, report: Report) -> int:
     return report.emit(0)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is reported as one JSON line
+        raise ValidationError("", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lowprev",
         description="Exact coherence, extension and invariance checks for lower previsions.",
     )
@@ -360,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    report = Report(None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    report = Report(args.subcommand)
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # -h/--help printed its usage text
+            return 0
+        report.command = args.subcommand
         if args.decimal is not None and args.decimal < 0:
             raise ValidationError("--decimal", "digits must be >= 0")
         if args.decimal is not None and args.decimal > DECIMAL_CAP:

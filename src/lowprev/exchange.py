@@ -8,6 +8,10 @@ prevision on count vectors.  Updating on an observed sample reduces, via
 sufficiency of the count vector, to conditioning the urn model with a
 hypergeometric likelihood through the Generalised Bayes Rule, computed
 here as one exact fractional programme.
+
+The count classes are the core orbits of the position permutations, so
+:func:`exchangeable_from_counts` is the orbit reduction of
+:mod:`lowprev.invariance` (de Finetti's finite representation).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .solver import (
     extreme_points,
     polytope_inequalities,
     solve_fractional_min,
-    solve_min,
 )
 from .transforms import monoid
 from .invariance import strongly_invariant
@@ -272,15 +275,12 @@ def update_counts(
         else:
             residual = tuple(b - a for a, b in zip(m, m_star))
             num.append(lk * h.values[rest.count_index[residual]])
-    credal = CredalSet(prior)
-    floor = solve_min(credal.lp.with_objective(den))
-    if floor.status == "infeasible":
+    try:
+        result = solve_fractional_min(num, den, CredalSet(prior).lp)
+    except PositivityError:
+        raise PositivityError("observation has lower probability 0; updating is refused") from None
+    if result.status == "infeasible":
         raise SureLossError("prior incurs sure loss")
-    if floor.value <= 0:
-        raise PositivityError(
-            "observation has lower probability 0; updating is refused"
-        )
-    result = solve_fractional_min(num, den, credal.lp)
     return result.value
 
 

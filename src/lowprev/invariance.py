@@ -7,12 +7,16 @@ Both are lower bounds on the natural extension of finitely many gambles,
 read off the assessment or decided by one LP each; only
 :func:`invariance_report` walks the credal vertices, for its witnesses.
 
-Everything else works from the assessment's rows too: the smallest
-strongly invariant dominating model (when it exists) minimises over the
-credal set intersected with the fixed-point polytope of the pushforward
-maps; the mixture lower prevision is one min-max LP over the credal set;
-and the quotient of a strongly invariant model maps each assessed gamble
-to its atom means.
+The previsions fixed by every transformation are the mixtures of the
+uniform laws on the orbits of the recurrent core
+(:func:`~lowprev.transforms.core_orbits`); de Finetti's finite
+representation of exchangeable models is the case of position
+permutations.  Whether one exists, the vertices of their polytope and
+the smallest strongly invariant dominating model all read from those
+orbits, the last as one LP with one variable per orbit and each assessed
+gamble replaced by its orbit means.  The mixture lower prevision is one
+min-max LP over the credal set, and the quotient of a strongly invariant
+model under a group maps each assessed gamble to its atom means.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from .previsions import (
     credal_vertices,
     natural_extension,
 )
-from .solver import ONE, ZERO, Constraint, SimplexLP, solve_min, solve_minmax
-from .transforms import TransformationMonoid, classify, invariant_atoms, pushforward, words
-from .transforms import InvariantAtoms
+from .solver import ZERO, solve_minmax
+from .transforms import TransformationMonoid, classify, core_orbits, invariant_atoms
+from .transforms import InvariantAtoms, pushforward, words
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +109,18 @@ def credal_weakly_invariant(assessment: Assessment, m: TransformationMonoid) -> 
 def strongly_invariant(assessment: Assessment, m: TransformationMonoid) -> bool:
     """Every dominating prevision is fixed by every transformation.
 
-    Each invariance row r has r.p = (Tp - p)_j, and one generator's rows sum
-    to zero, so lower envelopes >= 0 on every row force Tp = p on the credal set.
+    The fixed previsions vanish off the recurrent core and are constant
+    along each generator on it, so the rows are -1_x for x off the core and
+    1_x - 1_{T(x)} for each core point x that a generator T moves.  Each
+    generator permutes the core, so its rows sum to zero along every cycle,
+    and lower envelopes >= 0 on all rows force equality.
     """
-    rows = ((Gamble(assessment.space, r.coeffs), ZERO) for r in _invariance_rows(m))
-    return _all_at_least(assessment, rows)
+    n = assessment.space.size
+    core = {x for orbit in core_orbits(m) for x in orbit}
+    rows = [{x: -1} for x in range(n) if x not in core]
+    rows += [{x: 1, t.image[x]: -1} for t in m.generators for x in sorted(core) if t.image[x] != x]
+    gambles = (Gamble(assessment.space, [r.get(i, 0) for i in range(n)]) for r in rows)
+    return _all_at_least(assessment, ((h, ZERO) for h in gambles))
 
 
 @dataclass(frozen=True)
@@ -178,36 +189,23 @@ def weakly_invariant_closure(
 # invariant previsions and the strongly invariant natural extension
 # ---------------------------------------------------------------------------
 
-def _invariance_rows(m: TransformationMonoid) -> tuple[Constraint, ...]:
-    """Equality rows pinning pushforward(T, p) == p for each generator."""
-    n = m.space.size
-    rows = []
-    for t in m.generators:
-        preimages: list[list[int]] = [[] for _ in range(n)]
-        for i, j in enumerate(t.image):
-            preimages[j].append(i)
-        for j in range(n):
-            coeffs = [ZERO] * n
-            for i in preimages[j]:
-                coeffs[i] += ONE
-            coeffs[j] -= ONE
-            if any(v != 0 for v in coeffs):
-                rows.append(Constraint(tuple(coeffs), "==", ZERO))
-    return tuple(rows)
+def _orbit_means(orbits, f: Gamble) -> tuple[Fraction, ...]:
+    """Mean of f over each block of outcome indices."""
+    return tuple(sum(f.values[i] for i in block) / len(block) for block in orbits)
 
 
 def invariant_previsions_exist(m: TransformationMonoid) -> bool:
     """Is some probability mass function fixed by every generator?"""
-    lp = SimplexLP(m.space.size, None, _invariance_rows(m))
-    return solve_min(lp).status == "optimal"
+    return bool(core_orbits(m))
 
 
 def invariant_polytope_vertices(m: TransformationMonoid) -> frozenset:
-    """Extreme points of the polytope of invariant previsions."""
-    from .solver import enumerate_vertices
-
-    lp = SimplexLP(m.space.size, None, _invariance_rows(m))
-    return enumerate_vertices(lp)
+    """Extreme points of the invariant previsions: one uniform law per core orbit."""
+    n = m.space.size
+    return frozenset(
+        tuple(Fraction(1, len(orbit)) if i in orbit else ZERO for i in range(n))
+        for orbit in core_orbits(m)
+    )
 
 
 def strongly_invariant_natex(
@@ -221,18 +219,16 @@ def strongly_invariant_natex(
     dominating invariant prevision exists, and :class:`SureLossError`
     when even the credal set is empty.
     """
-    credal = CredalSet(assessment).nonempty()
-    lp = SimplexLP(
-        assessment.space.size,
-        g.values,
-        credal.lp.constraints + _invariance_rows(m),
-    )
-    result = solve_min(lp)
-    if result.status == "infeasible":
-        raise NoInvariantDominatorError(
-            "no invariant coherent prevision dominates the assessment"
-        )
-    return result.value
+    CredalSet(assessment).nonempty()
+    orbits = core_orbits(m)
+    if orbits:  # an invariant prevision is a law on the orbits, paying orbit means
+        space = Space(tuple(range(len(orbits))))
+        items = tuple((Gamble(space, _orbit_means(orbits, f)), b) for f, b in assessment.items)
+        means = Gamble(space, _orbit_means(orbits, g))
+        result = CredalSet(Assessment(space, items)).minimise(means)
+        if result.status == "optimal":
+            return result.value
+    raise NoInvariantDominatorError("no invariant coherent prevision dominates the assessment")
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +298,10 @@ def quotient_space(atoms: InvariantAtoms) -> Space:
     return Space(tuple(",".join(block) for block in atoms.partition))
 
 
-def _atom_means(atoms: InvariantAtoms, f: Gamble) -> tuple[Fraction, ...]:
-    return tuple(sum(f(x) for x in block) / len(block) for block in atoms.partition)
-
-
 def atom_representation(quotient: AtomLowerPrevision, g: Gamble) -> Fraction:
     """Evaluate the two-stage model: quotient prevision of atom means."""
-    means = _atom_means(quotient.atoms, g)
+    blocks = [[g.space.index(x) for x in block] for block in quotient.atoms.partition]
+    means = _orbit_means(blocks, g)
     return natural_extension(quotient.assessment, Gamble(quotient.quotient_space, means))
 
 
@@ -328,10 +321,11 @@ def extract_atom_lowprev(assessment: Assessment, group: TransformationMonoid) ->
             "quotient extraction needs a strongly invariant assessment"
         )
     atoms = invariant_atoms(group)
+    orbits = core_orbits(group)  # the atoms, as indices: a group's core is the space
     qspace = quotient_space(atoms)
     items = []
     for f, b in assessment.items:
-        means = _atom_means(atoms, f)
+        means = _orbit_means(orbits, f)
         if len(set(means)) > 1:
             items.append((Gamble(qspace, means), b))
     return AtomLowerPrevision(atoms, coherent_version(Assessment(qspace, tuple(items))))

@@ -12,7 +12,7 @@ from .core import Gamble, Space, Transformation
 from .errors import ValidationError
 from .exchange import CategorySpace
 from .previsions import Assessment
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 from .shift import Convergent, EventuallyPeriodic, FinSupport, NatGamble, Truncated
 from .choquet import SetFunction
 from .transforms import TransformationMonoid, monoid
@@ -54,10 +54,6 @@ def parse_gamble(doc, space: Space, path="gamble") -> Gamble:
         f"expected {space.size} values, got {len(values)}",
     )
     return Gamble(space, tuple(values))
-
-
-def gamble_to_json(g: Gamble) -> dict:
-    return {"values": [format_rational(v) for v in g.values]}
 
 
 def parse_event(doc, space: Space, path="event"):
@@ -105,16 +101,6 @@ def parse_assessment(doc, path="") -> Assessment:
         b = _rational(item["lower"], f"{ipath}.lower")
         items.append((g, b))
     return Assessment(space, tuple(items))
-
-
-def assessment_to_json(a: Assessment) -> dict:
-    return {
-        "space": list(a.space.outcomes),
-        "items": [
-            {"gamble": gamble_to_json(g), "lower": format_rational(b)}
-            for g, b in a.items
-        ],
-    }
 
 
 def parse_monoid(doc, space: Space, path="monoid") -> TransformationMonoid:

@@ -2,7 +2,8 @@
 
 Closure under composition, structural flags (Abelian, group,
 cancellability), the partition of the space into smallest invariant
-events, and the pushforward action on probability mass functions.
+events, the orbits of the recurrent core (which carry the invariant
+probability mass functions), and the pushforward action on them.
 """
 
 from __future__ import annotations
@@ -131,20 +132,18 @@ class InvariantAtoms:
         raise KeyError(label)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+def _components(points, generators) -> tuple[tuple[int, ...], ...]:
+    """Components of the edges x ~ T(x) on ``points``, which every T maps
+    into itself: ordered by least member, each block increasing."""
+    block = {x: {x} for x in points}
+    for t in generators:
+        for x in points:
+            small, large = sorted((block[x], block[t.image[x]]), key=len)
+            if small is not large:
+                large |= small
+                block.update(dict.fromkeys(small, large))
+    blocks = {id(b): b for b in block.values()}.values()
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 def invariant_atoms(m: TransformationMonoid) -> InvariantAtoms:
@@ -153,21 +152,32 @@ def invariant_atoms(m: TransformationMonoid) -> InvariantAtoms:
     An event is invariant under a map exactly when membership is constant
     along these edges, so invariance under the generators (and hence under
     the whole generated monoid) is a union of components.  The closure is
-    never needed.
+    never needed.  These are the orbits only for groups (see core_orbits).
     """
     space = m.space
-    uf = _UnionFind(space.size)
-    for t in m.generators:
-        for i, j in enumerate(t.image):
-            uf.union(i, j)
-    blocks: dict[int, list[int]] = {}
-    for i in range(space.size):
-        blocks.setdefault(uf.find(i), []).append(i)
     partition = tuple(
-        tuple(space.outcomes[i] for i in sorted(idxs))
-        for _, idxs in sorted(blocks.items())
+        tuple(space.outcomes[i] for i in block)
+        for block in _components(range(space.size), m.generators)
     )
     return InvariantAtoms(m, partition)
+
+
+def core_orbits(m: TransformationMonoid) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the generators on the recurrent core, as outcome indices.
+
+    The recurrent core is the largest set S with T(S) = S for every
+    generator T, found by dropping x from the space while some T(x) is
+    outside S or x is outside some T(S).  Each generator permutes it, so
+    the components of x ~ T(x) there are orbits.  The previsions fixed by
+    every T are the mixtures of the orbits' uniform laws.
+    """
+    gens, core = m.generators, set(range(m.space.size))
+    while True:
+        kept = {x for x in core if all(t.image[x] in core for t in gens)}
+        kept = kept.intersection(*({t.image[x] for x in core} for t in gens))
+        if kept == core:
+            return _components(core, gens)
+        core = kept
 
 
 def is_invariant_gamble(m: TransformationMonoid, f) -> bool:

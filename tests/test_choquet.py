@@ -303,3 +303,42 @@ class TestDifferenceEventEqualities:
                             assert sum(p[i] for i in out_idx) == sum(
                                 p[i] for i in in_idx
                             )
+
+
+class TestNMonotoneFamilies:
+    """Families of events strictly below A give the whole-domain verdicts."""
+
+    @staticmethod
+    def whole_domain(s, n):
+        domain = s.domain()
+        for a in domain:
+            for p in range(1, n + 1):
+                for family in itertools.combinations(domain, p):
+                    total = F(0)
+                    for r in range(p + 1):
+                        for sub in itertools.combinations(family, r):
+                            meet = a
+                            for b in sub:
+                                meet = meet & b
+                            total += (-1) ** r * s(meet)
+                    if total < 0:
+                        return False
+        return True
+
+    def test_verdicts_match_the_whole_domain_loop(self, rng):
+        verdicts = []
+        for size, orders in ((3, (1, 2, 3)), (4, (1, 2))):
+            space = Space(tuple(str(i) for i in range(size)))
+            for _ in range(12):
+                base = rnd_belief_function(rng, space)
+                noisy = {
+                    key: base(key) + (F(rng.randint(-2, 2), 8) if rng.random() < 0.3 else 0)
+                    for key in base.domain()
+                }
+                s = on_all_events(space, noisy.__getitem__)
+                for n in orders:
+                    verdict = is_n_monotone(s, n)
+                    assert verdict == self.whole_domain(s, n)
+                    verdicts.append(verdict)
+                assert s.is_monotone() == self.whole_domain(s, 1)
+        assert True in verdicts and False in verdicts

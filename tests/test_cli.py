@@ -504,3 +504,25 @@ class TestWorkedExamples:
         payload = json.loads(out)
         assert code == 0
         assert payload["result"]["rows"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["natex", "m.json"], ["--decimal", "two", "asl", "m.json"]],
+        ids=["no-subcommand", "unknown-subcommand", "missing-gamble", "non-integer-decimal"],
+    )
+    def test_usage_error_is_one_json_line(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert out.endswith("\n") and len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert "result" not in payload
+        assert len(payload["diagnostics"]) == 1
+        assert payload["diagnostics"][0].startswith("parse error: ")
+        assert capsys.readouterr().err == ""
+
+    def test_help_keeps_its_usage_text(self, capsys):
+        code, out = run_cli(["--help"])
+        assert code == 0
+        assert out.startswith("usage: lowprev")

@@ -661,3 +661,89 @@ class TestThreeElementFamily:
     def test_asymmetric_weights_break_weak_invariance(self, space3):
         precise = Assessment.from_prevision(space3, [F(1, 2), F(1, 4), F(1, 4)])
         assert not credal_weakly_invariant(precise, full_symmetric_monoid(space3))
+
+
+class TestCoreOrbits:
+    """Invariant previsions read from the orbits of the recurrent core."""
+
+    @staticmethod
+    def fixed_point_lp(m, objective=None, rows=()):
+        """{p : pushforward(T, p) = p for every generator}, as explicit LP rows."""
+        from lowprev import Constraint, SimplexLP
+
+        n = m.space.size
+        fixed = []
+        for t in m.generators:
+            for y in range(n):
+                coeffs = [F(0)] * n
+                for x, image in enumerate(t.image):
+                    if image == y:
+                        coeffs[x] += 1
+                coeffs[y] -= 1
+                fixed.append(Constraint(tuple(coeffs), "==", F(0)))
+        return SimplexLP(n, objective, tuple(rows) + tuple(fixed))
+
+    def test_weak_components_are_not_orbits(self, space3):
+        from lowprev.transforms import core_orbits
+
+        m = monoid(space3, [Transformation(space3, (0, 1, 0)), Transformation(space3, (0, 1, 1))])
+        assert invariant_atoms(m).partition == (("1", "2", "3"),)
+        assert core_orbits(m) == ((0,), (1,))
+        assert invariant_polytope_vertices(m) == frozenset(
+            {(F(1), F(0), F(0)), (F(0), F(1), F(0))}
+        )
+
+    def test_ten_cycle_has_one_uniform_law(self):
+        space = Space(tuple(str(i) for i in range(10)))
+        m = monoid(space, [Transformation(space, tuple((i + 1) % 10 for i in range(10)))])
+        assert invariant_polytope_vertices(m) == frozenset({(F(1, 10),) * 10})
+
+    def test_position_permutations_give_count_class_uniforms(self):
+        from lowprev.exchange import CategorySpace, position_permutation_generators
+
+        cs = CategorySpace(2, 5)
+        counts = cs.sequence_counts()
+        expected = set()
+        for c in cs.counts:
+            size = counts.count(c)
+            expected.add(tuple(F(1, size) if d == c else F(0) for d in counts))
+        m = monoid(cs.space, position_permutation_generators(cs))
+        assert invariant_polytope_vertices(m) == frozenset(expected)
+        assert len(expected) == 6
+
+    def test_random_monoids_against_the_fixed_point_polytope(self):
+        from lowprev import CredalSet, enumerate_vertices, solve_min
+
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            space = Space(tuple(str(i) for i in range(n)))
+            gens = [
+                rnd_permutation(rng, space) if rng.random() < 0.4 else rnd_map(rng, space)
+                for _ in range(rng.randint(1, 3))
+            ]
+            m = monoid(space, gens)
+            vertices = invariant_polytope_vertices(m)
+            assert vertices == enumerate_vertices(self.fixed_point_lp(m))
+            assert invariant_previsions_exist(m) == bool(vertices)
+
+            if rng.random() < 0.1:
+                f = rnd_gamble(rng, space)
+                a = Assessment(space, ((f, f.sup() + 1),))
+            else:
+                a = rnd_asl_assessment(rng, space, max_items=3)
+            g = rnd_gamble(rng, space)
+            credal = CredalSet(a)
+            if credal.is_empty():
+                expected = SureLossError
+            else:
+                result = solve_min(self.fixed_point_lp(m, g.values, credal.lp.constraints))
+                expected = NoInvariantDominatorError if result.status == "infeasible" else result.value
+            try:
+                answer = strongly_invariant_natex(a, m, g)
+            except (SureLossError, NoInvariantDominatorError) as exc:
+                answer = type(exc)
+            assert answer == expected
+            seen.add(expected if isinstance(expected, type) else "value")
+        assert seen == {SureLossError, NoInvariantDominatorError, "value"}
