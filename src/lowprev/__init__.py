@@ -121,7 +121,6 @@ from .choquet import (
     inner_set_function,
     is_n_monotone,
     possibility_upper,
-    strong_invariance_on_events,
 )
 
 __version__ = "0.1.0"

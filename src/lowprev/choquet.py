@@ -4,7 +4,10 @@ On a finite space the Choquet integral is a finite telescoping sum over
 the sorted distinct values of the gamble, so natural extensions of
 2-monotone lower probabilities stay exact.  Strong invariance also has an
 event-level characterisation: every dominating prevision must give each
-event and its preimage the same probability.
+event and its preimage the same probability.  Each event row
+1_A - 1_{T^-1 A} is the sum over x in A of the singleton rows
+1_{x} - 1_{T^-1 {x}}, so :func:`~lowprev.invariance.strongly_invariant`
+decides that question with no cap on the space.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from .core import Event, Gamble, Space, indicator
-from .errors import CapExceededError
-from .previsions import Assessment, credal_vertices
+from .previsions import Assessment
 from .rationals import frac
 from .solver import ZERO
-from .transforms import TransformationMonoid
 
 EventKey = frozenset
 
@@ -180,26 +181,3 @@ def possibility_upper(distribution: Gamble, a: Event) -> Fraction:
         return ZERO
     return max(distribution(x) for x in a.members)
 
-
-def strong_invariance_on_events(assessment: Assessment, m: TransformationMonoid) -> bool:
-    """Event-level strong invariance: p(A) == p(T^{-1} A) on every vertex.
-
-    Quantifies over all events of the space, which is equivalent to
-    pushforward fixedness on a finite space and therefore must agree with
-    the gamble-level check.
-    """
-    space = assessment.space
-    if space.size > 16:
-        raise CapExceededError("event-level check enumerates all events; space too large")
-    vertices = credal_vertices(assessment)
-    outcomes = space.outcomes
-    for t in m.generators:
-        for r in range(space.size + 1):
-            for combo in itertools.combinations(range(space.size), r):
-                members = frozenset(outcomes[i] for i in combo)
-                pre = t.preimage(Event(space, members))
-                pre_idx = {space.index(x) for x in pre.members}
-                for p in vertices:
-                    if sum(p[i] for i in combo) != sum(p[i] for i in pre_idx):
-                        return False
-    return True

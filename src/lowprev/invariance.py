@@ -30,6 +30,7 @@ from .errors import (
     NotAGroupError,
     NotStronglyInvariantError,
     SureLossError,
+    TruncatedClosureError,
 )
 from .previsions import (
     Assessment,
@@ -39,7 +40,7 @@ from .previsions import (
     natural_extension,
 )
 from .solver import ZERO, solve_minmax
-from .transforms import TransformationMonoid, classify, core_orbits, invariant_atoms
+from .transforms import TransformationMonoid, core_orbits, invariant_atoms
 from .transforms import InvariantAtoms, pushforward, words
 
 
@@ -265,7 +266,7 @@ def mixture_lower_prevision(
 # ---------------------------------------------------------------------------
 
 def _require_group(m: TransformationMonoid):
-    if not classify(m).group:
+    if not all(t.is_permutation() for t in m.generators):
         raise NotAGroupError("operation requires a finite group of permutations")
 
 
@@ -275,9 +276,12 @@ def symmetrize(assessment: Assessment, group: TransformationMonoid, g: Gamble) -
     The resulting functional of g is weakly invariant under the group, and
     weakly invariant models are exactly its fixed points.  Equal lifts come
     from one coset of g's stabiliser, so each distinct lift is hit equally
-    often and needs one natural extension.
+    often and needs one natural extension.  Raises
+    :class:`TruncatedClosureError` when the closure hit its cap.
     """
     _require_group(group)
+    if group.truncated:
+        raise TruncatedClosureError("cannot average over a truncated closure")
     lifts = {lift(t, g) for t in group.closure}
     return sum(natural_extension(assessment, h) for h in lifts) / len(lifts)
 

@@ -140,12 +140,10 @@ def parse_natgamble(doc, path="natgamble") -> NatGamble:
         _expect(bool(window), f"{path}.window", "window must be nonempty")
         lo = _rational(doc.get("lo", "0"), f"{path}.lo")
         hi = _rational(doc.get("hi", "1"), f"{path}.hi")
-        _expect(
-            all(lo <= v <= hi for v in window),
-            f"{path}.window",
-            "window values must lie within [lo, hi]",
-        )
-        return Truncated(tuple(window), lo, hi)
+        try:
+            return Truncated(tuple(window), lo, hi)
+        except ValueError as exc:  # an entry outside [lo, hi]
+            raise ValidationError(f"{path}.window", str(exc)) from None
     raise ValidationError(f"{path}.kind", f"unknown sequence gamble kind {kind!r}")
 
 
@@ -215,14 +213,6 @@ def parse_scenario(doc, path="scenario"):
     rest = CategorySpace(kappa, n_star - len(observed))
     query = parse_gamble(doc["query_gamble"], rest.space, f"{path}.query_gamble")
     return full, tuple(observed), prior, query
-
-
-_DETECTORS = (
-    ("scenario", parse_scenario),
-    ("assessment", parse_assessment),
-    ("natgamble", parse_natgamble),
-    ("setfunction", parse_setfunction),
-)
 
 
 def detect_and_parse(doc):

@@ -9,7 +9,9 @@ the fixed-point property that every assessed bound is reproduced by the
 natural extension.
 
 The desirability side works with finite sets of accepted gambles and the
-cone they span together with the non-negative orthant.
+cone they span together with the non-negative orthant.  Accepting f is
+the bound E(f) >= 0, so cone membership and avoiding partial loss are
+questions about the credal set of those bounds.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .solver import (
     enumerate_vertices,
     satisfies,
     solve_min,
-    solve_standard,
+    solve_minmax,
     VERTEX_CAP,
 )
 
@@ -212,63 +214,38 @@ class DesirableSet:
                 raise ValueError("all gambles must live on the same space")
 
 
+def _acceptance(desirable: DesirableSet) -> CredalSet:
+    """The previsions that accept every gamble of the set: E(f) >= 0."""
+    return CredalSet(Assessment(desirable.space, tuple((f, ZERO) for f in desirable.gambles)))
+
+
 def desirable_cone_contains(desirable: DesirableSet, g: Gamble) -> bool:
     """Membership of ``g`` in the cone spanned by the set and the orthant.
 
-    True iff g >= sum_k lambda_k f_k pointwise for some lambda >= 0,
-    decided as exact LP feasibility with slack variables.
+    True iff g >= sum_k lambda_k f_k pointwise for some lambda >= 0.  By
+    Farkas's lemma that holds exactly when every prevision giving each f_k
+    a non-negative value gives g one too, so it is decided by one minimum
+    over the acceptance polytope.  When that polytope is empty, some
+    combination of the f_k is negative everywhere, and its multiples are
+    dominated by every g.
     """
     _check_same_space(desirable, g)
-    n = desirable.space.size
-    k = len(desirable.gambles)
-    # lambda . f_k(x) + s_x = g(x), all variables >= 0
-    rows = []
-    for x in range(n):
-        rows.append(
-            [desirable.gambles[j].values[x] for j in range(k)]
-            + [ONE if y == x else ZERO for y in range(n)]
-        )
-    rhs = [g.values[x] for x in range(n)]
-    status, _, _ = solve_standard(rows, rhs, [ZERO] * (k + n))
-    return status == "optimal"
+    result = _acceptance(desirable).minimise(g)
+    return result.status == "infeasible" or result.value >= 0
 
 
 def avoids_partial_loss(desirable: DesirableSet) -> bool:
     """No non-negative combination is everywhere <= 0 and somewhere < 0.
 
-    Strictness is decided by a second objective: push each coordinate's
-    deficit up to a unit and test whether any deficit is attainable.
+    By Motzkin's transposition theorem this holds exactly when some
+    prevision with every mass positive gives each gamble a non-negative
+    value, that is when the largest smallest mass over the acceptance
+    polytope is positive: one min-max program over -p_x.
     """
     n = desirable.space.size
-    k = len(desirable.gambles)
-    if k == 0:
-        return True
-    # sum_k lambda_k f_k(x) + t_x + s_x' ... encode:
-    #   sum_k lambda_k f_k(x) <= -t_x   and  0 <= t_x <= 1
-    # maximise sum(t); partial loss incurred iff the optimum is > 0
-    nvars = k + n + n + n  # lambdas, t, slack for <=, slack for t<=1
-    rows, rhs = [], []
-    for x in range(n):
-        row = [ZERO] * nvars
-        for j in range(k):
-            row[j] = desirable.gambles[j].values[x]
-        row[k + x] = ONE  # + t_x
-        row[k + n + x] = ONE  # + slack
-        rows.append(row)
-        rhs.append(ZERO)
-    for x in range(n):
-        row = [ZERO] * nvars
-        row[k + x] = ONE
-        row[k + n + n + x] = ONE
-        rows.append(row)
-        rhs.append(ONE)
-    cost = [ZERO] * nvars
-    for x in range(n):
-        cost[k + x] = -ONE
-    status, value, _ = solve_standard(rows, rhs, cost)
-    if status != "optimal":
-        raise AssertionError(f"partial-loss program reported {status}")
-    return value == 0
+    units = [[-ONE if y == x else ZERO for y in range(n)] for x in range(n)]
+    result = solve_minmax(units, _acceptance(desirable).lp)
+    return result.status == "optimal" and result.value < 0
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,9 @@ def _standard_form(lp: SimplexLP, objective):
 
     Slack variables are appended for the >= rows; the simplex equation
     sum(p) == 1 is the first row.  This is the one encoding of a polytope
-    in the simplex: the fractional and min-max programs extend its rows.
+    in the simplex, and every LP goes through it: the fractional and
+    min-max programs extend its rows, and the desirability and hull
+    questions are posed as SimplexLPs.
     """
     n = lp.n
     ges = [c for c in lp.constraints if c.relation == ">="]
@@ -479,14 +481,10 @@ def extreme_points(points) -> list:
         return pts
     out = []
     for i, p in enumerate(pts):
+        # p is extreme iff no mass function on the others mixes to p
         others = [q for j, q in enumerate(pts) if j != i]
-        # p extreme iff p is not a convex combination of the others
-        n = len(p)
-        rows = [[frac(q[k]) for q in others] for k in range(n)]
-        rows.append([ONE] * len(others))
-        rhs = list(p) + [ONE]
-        status, _, _ = solve_standard(rows, rhs, [ZERO] * len(others))
-        if status == "infeasible":
+        rows = [Constraint([q[k] for q in others], "==", v) for k, v in enumerate(p)]
+        if solve_min(SimplexLP(len(others), None, rows)).status == "infeasible":
             out.append(p)
     return out
 

@@ -5,11 +5,13 @@ import pytest
 
 from lowprev import (
     Assessment,
+    CapExceededError,
     Event,
     Space,
     Transformation,
     assessment_from_set_function,
     choquet_integral,
+    credal_vertices,
     event,
     gamble,
     inner_extension,
@@ -18,7 +20,6 @@ from lowprev import (
     lift,
     natural_extension,
     possibility_upper,
-    strong_invariance_on_events,
     strongly_invariant,
     invariant_atoms,
     monoid,
@@ -215,6 +216,30 @@ class TestPossibility:
                 len({lam(x) for x in block}) == 1 for block in atoms.partition
             )
             assert invariant == constant
+
+
+def strong_invariance_on_events(assessment, m):
+    """Event-level strong invariance: p(A) == p(T^{-1} A) on every vertex.
+
+    The oracle for :func:`strongly_invariant`: it quantifies over all events
+    of the space and every credal vertex, which is equivalent to pushforward
+    fixedness on a finite space.
+    """
+    space = assessment.space
+    if space.size > 16:
+        raise CapExceededError("event-level check enumerates all events; space too large")
+    vertices = credal_vertices(assessment)
+    outcomes = space.outcomes
+    for t in m.generators:
+        for r in range(space.size + 1):
+            for combo in itertools.combinations(range(space.size), r):
+                members = frozenset(outcomes[i] for i in combo)
+                pre = t.preimage(Event(space, members))
+                pre_idx = {space.index(x) for x in pre.members}
+                for p in vertices:
+                    if sum(p[i] for i in combo) != sum(p[i] for i in pre_idx):
+                        return False
+    return True
 
 
 class TestStrongInvarianceOnEvents:

@@ -396,6 +396,11 @@ class TestMalformedInputs:
         self.assert_refused_at(["validate", sf], "setfunction.events[2]")
         self.assert_refused_at(["choquet", sf, "--gamble", g], "setfunction.events[2]")
 
+    @pytest.mark.parametrize("command", ["shift", "validate"])
+    def test_truncated_window_value_above_hi(self, tmp_path, command):
+        doc = {"kind": "truncated", "window": ["1", "3/2", "0"], "lo": "0", "hi": "1"}
+        self.assert_refused_at([command, write(tmp_path, "seq.json", doc)], "natgamble.window")
+
     def test_boolean_map_index(self, tmp_path, vacuous3):
         mono = write(tmp_path, "mono.json", {"generators": [{"map": [True, 0, 2]}]})
         self.assert_refused_at(["invariance", vacuous3, "--monoid", mono], "monoid.generators[0].map[0]")

@@ -11,6 +11,7 @@ from lowprev import (
     Space,
     SureLossError,
     Transformation,
+    TruncatedClosureError,
     assessment_weakly_invariant,
     atom_representation,
     constant_map,
@@ -491,6 +492,15 @@ class TestSymmetrize:
         with pytest.raises(NotAGroupError):
             symmetrize(Assessment.vacuous(space3), m, gamble(space3, [1, 0, 0]))
 
+    def test_truncated_closure_is_refused(self):
+        # the average runs over the whole group, so a capped closure of S4
+        # (24 elements, cap 5) cannot give it
+        space = Space(("1", "2", "3", "4"))
+        group = monoid(space, full_symmetric_monoid(space).generators, cap=5)
+        assert group.truncated
+        with pytest.raises(TruncatedClosureError):
+            symmetrize(Assessment.vacuous(space), group, gamble(space, [1, 0, 0, 0]))
+
 
 class TestSymmetrizeByDistinctLifts:
     def test_tied_values_match_the_average_over_every_element(self):
@@ -557,6 +567,20 @@ class TestAtomRepresentation:
 
 
 class TestQuotientExtraction:
+    def test_symmetric_group_past_the_closure_cap(self, rng):
+        # S8 has 40320 elements, more than the closure cap; the group check
+        # and the quotient read only the generators, so no closure is built
+        space = Space(tuple(str(i) for i in range(8)))
+        group = monoid(space, [transposition(space, "0", "1"), Transformation(space, (1, 2, 3, 4, 5, 6, 7, 0))])
+        uniform = Assessment.from_prevision(space, [F(1, 8)] * 8)
+        quotient = extract_atom_lowprev(uniform, group)
+        assert quotient.atoms.partition == (space.outcomes,)
+        assert quotient.assessment.items == ()
+        for _ in range(3):
+            g = rnd_gamble(rng, space)
+            assert atom_representation(quotient, g) == sum(g.values) / 8 == natural_extension(uniform, g)
+        assert "_enumerated" not in vars(group)
+
     def test_quotient_is_the_atom_marginal_of_the_credal_set(self):
         rng = random.Random(2024)
         for n in (4, 5, 6):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from lowprev import (
     Space,
 )
 
-from conftest import rnd_asl_assessment, rnd_gamble
+from conftest import rnd_asl_assessment, rnd_frac, rnd_gamble
 
 F = Fraction
 
@@ -195,6 +196,89 @@ class TestDesirability:
             if avoids_partial_loss(d):
                 # cone membership of a strictly negative gamble would contradict it
                 assert not desirable_cone_contains(d, gamble(space3, [-1, -1, -1]))
+
+
+class TestDesirabilityTableauOracles:
+    """Cone membership and partial loss against their hand-built tableaux.
+
+    The oracles solve the defining programs over the combination weights
+    lambda directly, with no credal set: g = sum_k lambda_k f_k + s with
+    s >= 0, and the largest total deficit t of a combination with
+    sum_k lambda_k f_k <= -t, 0 <= t <= 1.
+    """
+
+    @staticmethod
+    def _tableau_cone_contains(desirable, g):
+        from lowprev.solver import ONE, ZERO, solve_standard
+
+        n = desirable.space.size
+        k = len(desirable.gambles)
+        # lambda . f_k(x) + s_x = g(x), all variables >= 0
+        rows = [
+            [f.values[x] for f in desirable.gambles] + [ONE if y == x else ZERO for y in range(n)]
+            for x in range(n)
+        ]
+        status, _, _ = solve_standard(rows, list(g.values), [ZERO] * (k + n))
+        return status == "optimal"
+
+    @staticmethod
+    def _tableau_avoids_partial_loss(desirable):
+        from lowprev.solver import ONE, ZERO, solve_standard
+
+        n = desirable.space.size
+        k = len(desirable.gambles)
+        if k == 0:
+            return True
+        # variables: lambda, t, slacks of sum_k lambda_k f_k(x) + t_x <= 0,
+        # slacks of t_x <= 1; maximise sum(t)
+        nvars = k + 3 * n
+        rows, rhs = [], []
+        for x in range(n):
+            row = [ZERO] * nvars
+            for j, f in enumerate(desirable.gambles):
+                row[j] = f.values[x]
+            row[k + x] = ONE
+            row[k + n + x] = ONE
+            rows.append(row)
+            rhs.append(ZERO)
+        for x in range(n):
+            row = [ZERO] * nvars
+            row[k + x] = ONE
+            row[k + 2 * n + x] = ONE
+            rows.append(row)
+            rhs.append(ONE)
+        cost = [ZERO] * nvars
+        for x in range(n):
+            cost[k + x] = -ONE
+        status, value, _ = solve_standard(rows, rhs, cost)
+        assert status == "optimal"
+        return value == 0
+
+    def test_agree_on_seeded_desirable_sets(self):
+        rng = random.Random(1515)
+        seen = {(name, verdict): 0 for name in ("cone", "apl") for verdict in (True, False)}
+        for _ in range(1000):
+            space = Space(tuple(str(i) for i in range(rng.randint(1, 6))))
+            gambles = tuple(
+                rnd_gamble(rng, space, lo=-3, hi=3, max_den=2) for _ in range(rng.randint(0, 5))
+            )
+            d = DesirableSet(space, gambles)
+            apl = avoids_partial_loss(d)
+            assert apl == self._tableau_avoids_partial_loss(d)
+            seen["apl", apl] += 1
+            # a non-negative combination of the set (in the cone, often on
+            # its boundary), the same pushed down at one outcome, and a
+            # random gamble
+            lam = [rng.randint(0, 2) for _ in gambles]
+            combo = [sum((l * f.values[x] for l, f in zip(lam, gambles)), F(0)) for x in range(space.size)]
+            below = list(combo)
+            below[rng.randrange(space.size)] -= F(1, rng.randint(1, 4))
+            for values in (combo, below, [rnd_frac(rng, -3, 3, 2) for _ in space]):
+                g = gamble(space, values)
+                inside = desirable_cone_contains(d, g)
+                assert inside == self._tableau_cone_contains(d, g)
+                seen["cone", inside] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestPreferences:

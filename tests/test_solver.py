@@ -218,6 +218,43 @@ class TestPolytopeGeometry:
         pts = [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(0)), (F(0), F(1))]
         assert extreme_points(pts) == [(0, 0), (0, 1), (1, 0)]
 
+    @staticmethod
+    def _tableau_extreme_points(points):
+        """p is extreme iff A.w = p, sum(w) = 1, w >= 0 over the others is infeasible."""
+        pts = sorted(set(tuple(F(v) for v in p) for p in points))
+        if len(pts) <= 2:
+            return pts
+        out = []
+        for i, p in enumerate(pts):
+            others = [q for j, q in enumerate(pts) if j != i]
+            rows = [[q[k] for q in others] for k in range(len(p))]
+            rows.append([F(1)] * len(others))
+            status, _, _ = solve_standard(rows, list(p) + [F(1)], [F(0)] * len(others))
+            if status == "infeasible":
+                out.append(p)
+        return out
+
+    def test_extreme_points_agree_with_tableau(self):
+        rng = random.Random(4242)
+        dropped = kept = 0
+        for _ in range(500):
+            dim = rng.randint(1, 4)
+            pts = [
+                tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
+                for _ in range(rng.randint(1, 6))
+            ]
+            for _ in range(rng.randint(0, 3)):  # midpoints, three-way mixtures, repeats
+                a, b, c = (rng.choice(pts) for _ in range(3))
+                pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+                pts.append(tuple((x + y + z) / 3 for x, y, z in zip(a, b, c)))
+                pts.append(rng.choice(pts))
+            rng.shuffle(pts)
+            expected = self._tableau_extreme_points(pts)
+            assert extreme_points(pts) == expected
+            kept += len(expected)
+            dropped += len(set(pts)) - len(expected)
+        assert kept >= 500 and dropped >= 500
+
     def test_hull_round_trip(self):
         rng = random.Random(500)
         for _ in range(10):
