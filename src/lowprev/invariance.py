@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Gamble, Space, Transformation, lift
+from .core import Gamble, Space, Transformation, _check_same_space, lift
 from .errors import (
     NoInvariantDominatorError,
     NotAGroupError,
@@ -276,14 +276,17 @@ def symmetrize(assessment: Assessment, group: TransformationMonoid, g: Gamble) -
     The resulting functional of g is weakly invariant under the group, and
     weakly invariant models are exactly its fixed points.  Equal lifts come
     from one coset of g's stabiliser, so each distinct lift is hit equally
-    often and needs one natural extension.  Raises
-    :class:`TruncatedClosureError` when the closure hit its cap.
+    often and needs one minimum over the one credal set.  Raises
+    :class:`TruncatedClosureError` when the closure hit its cap and
+    :class:`SureLossError` when the credal set is empty.
     """
     _require_group(group)
     if group.truncated:
         raise TruncatedClosureError("cannot average over a truncated closure")
     lifts = {lift(t, g) for t in group.closure}
-    return sum(natural_extension(assessment, h) for h in lifts) / len(lifts)
+    _check_same_space(assessment, g)
+    credal = CredalSet(assessment).nonempty()
+    return sum(credal.minimise(h).value for h in lifts) / len(lifts)
 
 
 @dataclass(frozen=True)

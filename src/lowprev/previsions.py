@@ -132,9 +132,6 @@ class CredalSet:
     def minimise(self, f: Gamble):
         return solve_min(self.lp.with_objective(f.values))
 
-    def vertices(self, cap: int = VERTEX_CAP) -> frozenset:
-        return enumerate_vertices(self.lp, cap)
-
 
 def avoids_sure_loss(assessment: Assessment) -> bool:
     """True iff some probability mass function dominates every bound."""
@@ -191,7 +188,7 @@ def credal_vertices(assessment: Assessment, cap: int = VERTEX_CAP) -> frozenset:
         raise CapExceededError(
             f"credal vertex enumeration capped at {cap} outcomes"
         )
-    vertices = CredalSet(assessment).vertices(cap)
+    vertices = enumerate_vertices(CredalSet(assessment).lp, cap)
     if not vertices:
         raise SureLossError("assessment incurs sure loss; credal set is empty")
     return vertices

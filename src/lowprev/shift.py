@@ -240,12 +240,8 @@ def lnex_theta(f: NatGamble, n_max: int = DEFAULT_N_MAX) -> ShiftValue:
     mean.  On a truncation: the best over window lengths n <= n_max of the
     worst length-n window mean within the data, flagged inexact.
     """
-    if isinstance(f, FinSupport):
-        return ShiftValue(ZERO, True)
-    if isinstance(f, Convergent):
-        return ShiftValue(f.limit, True)
-    if isinstance(f, EventuallyPeriodic):
-        return ShiftValue(f.cycle_mean(), True)
+    if not isinstance(f, Truncated):
+        return ShiftValue(as_eventually_periodic(f).cycle_mean(), True)
     return _windowed_lnex(f, n_max)
 
 
@@ -273,12 +269,8 @@ def lsamp_theta(f: NatGamble, tail_from: int | None = None) -> ShiftValue:
     estimate is the minimum of S_n over a tail range of n, by default the
     second half of the data.
     """
-    if isinstance(f, FinSupport):
-        return ShiftValue(ZERO, True)
-    if isinstance(f, Convergent):
-        return ShiftValue(f.limit, True)
-    if isinstance(f, EventuallyPeriodic):
-        return ShiftValue(f.cycle_mean(), True)
+    if not isinstance(f, Truncated):
+        return ShiftValue(as_eventually_periodic(f).cycle_mean(), True)
     pref = [0, *accumulate(f.ints)]
     total = len(f.ints)
     start = max(1, total // 2) if tail_from is None else max(1, tail_from)
@@ -335,12 +327,8 @@ def lnex_res(f: NatGamble, m_max: int = DEFAULT_M_MAX) -> ShiftValue:
     along the divisibility ordering of the modulus towards that value).
     On a truncation, the estimate at modulus m_max is reported.
     """
-    if isinstance(f, FinSupport):
-        return ShiftValue(ZERO, True)
-    if isinstance(f, Convergent):
-        return ShiftValue(f.limit, True)
-    if isinstance(f, EventuallyPeriodic):
-        return ShiftValue(f.cycle_mean(), True)
+    if not isinstance(f, Truncated):
+        return ShiftValue(as_eventually_periodic(f).cycle_mean(), True)
     return ShiftValue(residue_estimate(f, m_max), False, m_max, len(f.ints))
 
 

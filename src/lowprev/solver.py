@@ -13,7 +13,8 @@ uses: minimising a linear objective over a polytope inside the simplex,
 minimising the pointwise maximum of finitely many linear objectives,
 enumerating the polytope's extreme points, and minimising a ratio of two
 linear functionals via the Charnes-Cooper change of variables.  All LPs
-over a polytope share one standard-form encoding of its rows.
+over a polytope share one standard-form encoding of its rows, and the one
+vertex search also finds a hull's facets, as the vertices of its polar.
 """
 
 from __future__ import annotations
@@ -360,7 +361,8 @@ def enumerate_vertices(lp: SimplexLP, cap: int = VERTEX_CAP) -> frozenset:
     Works by reducing modulo the equality constraints (including the
     simplex equation) and enumerating simultaneous-activity bases of the
     remaining inequalities.  Intended as a brute-force oracle at desk
-    scale; ``cap`` bounds the ambient dimension.
+    scale; ``cap`` bounds the ambient dimension.  The facet search of
+    :func:`polytope_inequalities` runs through it too.
     """
     n = lp.n
     if n > cap:
@@ -494,69 +496,30 @@ def polytope_inequalities(points):
 
     Returns (equalities, inequalities), each a list of (coeffs, rhs)
     meaning coeffs.x == rhs respectively coeffs.x >= rhs.  Equalities cut
-    out the affine hull; inequalities are the facets within it.
+    out the affine hull; inequalities are the facets within it, each with
+    coprime integer coefficients.
+
+    Each point p is homogenised to (p, 1), so a valid inequality a.x >= b
+    is a c = (a, -b) with c.(p, 1) >= 0 at every point.  Modulo the affine
+    hull, c is fixed by its values mu_p = c.(p, 1); scaled to sum 1, those
+    are the mass functions on the points that vanish on every linear
+    dependency among the (p, 1).  That polytope is the hull's polar, and
+    its vertices are the hull's facets (Ziegler, Lectures on Polytopes).
     """
-    pts = [tuple(frac(v) for v in p) for p in points]
-    pts = sorted(set(pts))
+    pts = sorted({tuple(frac(v) for v in p) for p in points})
     if not pts:
         raise ValueError("need at least one point")
-    n = len(pts[0])
-    x0 = pts[0]
-    diffs = [[p[i] - x0[i] for i in range(n)] for p in pts[1:]]
-    rref, pivots = _row_reduce(diffs) if diffs else ([], [])
-    basis = rref  # orthonormality is irrelevant; rref rows span the hull
-    d = len(basis)
-
-    # affine-hull equalities: for each non-pivot coordinate j, x_j is an
-    # affine function of the pivot coordinates
-    equalities = []
-    free = [j for j in range(n) if j not in pivots]
-    for j in free:
-        coeffs = [ZERO] * n
-        coeffs[j] = ONE
-        for row, p in zip(basis, pivots):
-            coeffs[p] = -row[j]
-        rhs = sum(c * v for c, v in zip(coeffs, x0))
-        equalities.append((tuple(coeffs), rhs))
-
-    if d == 0:
+    n, k = len(pts[0]), len(pts)
+    rows = [list(p) + [ONE] for p in pts]
+    equalities = [
+        (tuple(c[:n]), -c[n]) for c in _solve_affine(rows, [ZERO] * k, n + 1)[1]
+    ]
+    if k == 1:
         return equalities, []
-
-    # coordinates of each point in the hull basis: y such that y.B = p - x0,
-    # read off at the pivot columns since B is in rref
-    coords = []
-    for p in pts:
-        coords.append(tuple(p[piv] - x0[piv] for piv in pivots))
-
+    dependencies = _solve_affine(list(zip(*rows)), [ZERO] * (n + 1), k)[1]
+    polar = SimplexLP(k, None, tuple(Constraint(y, "==", ZERO) for y in dependencies))
     inequalities = []
-    seen = set()
-    for combo in itertools.combinations(range(len(coords)), d):
-        # hyperplane through d points in d-space: normal a with a.y = c
-        mat = [
-            [coords[combo[k]][j] - coords[combo[0]][j] for j in range(d)]
-            for k in range(1, d)
-        ]
-        nullspace = _solve_affine(mat, [ZERO] * (d - 1), d)[1]
-        if len(nullspace) != 1:
-            continue  # degenerate choice
-        normal = nullspace[0]
-        c0 = sum(a * y for a, y in zip(normal, coords[combo[0]]))
-        sides = [sum(a * y for a, y in zip(normal, q)) - c0 for q in coords]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            normal = [-a for a in normal]
-            c0 = -c0
-        else:
-            continue
-        key = _primitive(tuple(normal) + (c0,))
-        if key in seen:
-            continue
-        seen.add(key)
-        # back to ambient coordinates: y_j = x_{pivot_j} - x0_{pivot_j}
-        coeffs = [ZERO] * n
-        for j, piv in enumerate(pivots):
-            coeffs[piv] += normal[j]
-        rhs = c0 + sum(normal[j] * x0[pivots[j]] for j in range(d))
-        inequalities.append((tuple(coeffs), rhs))
+    for mu in sorted(enumerate_vertices(polar, cap=k)):
+        c = _primitive(_solve_affine(rows, mu, n + 1)[0])
+        inequalities.append((c[:n], -c[n]))
     return equalities, inequalities

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from lowprev import CapExceededError, Constraint, SimplexLP, enumerate_vertices, solve_fractional_min, solve_min, solve_minmax
 from lowprev.errors import PositivityError
 from lowprev.solver import LPResult, extreme_points, polytope_inequalities, satisfies, solve_standard
+from lowprev.solver import _primitive, _row_reduce, _solve_affine
 
 F = Fraction
 
@@ -492,4 +494,133 @@ class TestPivotPath:
         cost = [F(-3, 4), F(150), F(-1, 50), F(6), F(0), F(0), F(0)]
         assert solve_standard(rows, [F(0), F(0), F(1)], cost) == (
             "optimal", F(-1, 20), (F(1, 25), 0, 1, 0, F(3, 100), 0, 0)
+        )
+
+
+def d_subset_inequalities(points):
+    """Reference hull H-representation: a hyperplane through every d points.
+
+    A brute-force search independent of the polar: reduce to coordinates
+    in the affine hull, then keep each hyperplane through d affinely
+    independent points with every point on one side.  Returns
+    (equalities, inequalities) like ``polytope_inequalities``.
+    """
+    pts = sorted({tuple(F(v) for v in p) for p in points})
+    n = len(pts[0])
+    x0 = pts[0]
+    diffs = [[p[i] - x0[i] for i in range(n)] for p in pts[1:]]
+    basis, pivots = _row_reduce(diffs) if diffs else ([], [])
+    d = len(basis)
+    equalities = []
+    for j in (j for j in range(n) if j not in pivots):
+        coeffs = [F(0)] * n
+        coeffs[j] = F(1)
+        for row, p in zip(basis, pivots):
+            coeffs[p] = -row[j]
+        equalities.append((tuple(coeffs), dot(coeffs, x0)))
+    if d == 0:
+        return equalities, []
+    coords = [tuple(p[piv] - x0[piv] for piv in pivots) for p in pts]
+    inequalities, seen = [], set()
+    for combo in itertools.combinations(range(len(coords)), d):
+        mat = [
+            [coords[combo[k]][j] - coords[combo[0]][j] for j in range(d)]
+            for k in range(1, d)
+        ]
+        nullspace = _solve_affine(mat, [F(0)] * (d - 1), d)[1]
+        if len(nullspace) != 1:
+            continue
+        normal = nullspace[0]
+        c0 = dot(normal, coords[combo[0]])
+        sides = [dot(normal, q) - c0 for q in coords]
+        if all(s <= 0 for s in sides):
+            normal, c0 = [-a for a in normal], -c0
+        elif not all(s >= 0 for s in sides):
+            continue
+        key = _primitive(tuple(normal) + (c0,))
+        if key in seen:
+            continue
+        seen.add(key)
+        coeffs = [F(0)] * n
+        for j, piv in enumerate(pivots):
+            coeffs[piv] += normal[j]
+        rhs = c0 + sum(normal[j] * x0[pivots[j]] for j in range(d))
+        inequalities.append((tuple(coeffs), rhs))
+    return equalities, inequalities
+
+
+def _rank(vectors):
+    return len(_row_reduce(vectors)[0]) if vectors else 0
+
+
+class TestFacetsFromThePolar:
+    """``polytope_inequalities`` against the d-subset search."""
+
+    @staticmethod
+    def random_points(rng):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, 8)
+        kind = rng.choice(["simplex", "free", "flat"])
+        if kind == "simplex":  # mass functions, so one equality is sum(x) == 1
+            pts = []
+            for _ in range(k):
+                w = [rng.randint(0, 3) for _ in range(n)]
+                w[rng.randrange(n)] += 1
+                pts.append(tuple(F(v, sum(w)) for v in w))
+        elif kind == "free":
+            pts = [tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)) for _ in range(k)]
+        else:  # affine combinations of a few points: a lower-dimensional hull
+            base = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(rng.randint(1, n))]
+            pts = []
+            for _ in range(k):
+                w = [F(rng.randint(-2, 3)) for _ in base]
+                w[0] += 1 - sum(w)
+                pts.append(tuple(sum(a * p[i] for a, p in zip(w, base)) for i in range(n)))
+        if k >= 3 and rng.random() < 0.3:  # a midpoint, never a vertex
+            p, q = rng.sample(pts[1:], 2)
+            pts[0] = tuple((a + b) / 2 for a, b in zip(p, q))
+        if k >= 2 and rng.random() < 0.3:  # a repeated point
+            pts[-1] = pts[-2]
+        return pts
+
+    @staticmethod
+    def slacks(inequalities, pts):
+        out = set()
+        for a, b in inequalities:
+            s = [dot(a, p) - b for p in pts]
+            out.add(tuple(v / sum(s) for v in s))
+        return out
+
+    def test_matches_the_d_subset_search(self):
+        rng = random.Random(1700)
+        facets = flat = 0
+        for _ in range(1000):
+            points = self.random_points(rng)
+            pts = sorted(set(points))
+            equalities, inequalities = polytope_inequalities(points)
+            ref_eqs, ref_ineqs = d_subset_inequalities(points)
+            assert self.slacks(inequalities, pts) == self.slacks(ref_ineqs, pts)
+            assert len(inequalities) == len(ref_ineqs)
+            new = [tuple(a) + (-b,) for a, b in equalities]
+            ref = [tuple(a) + (-b,) for a, b in ref_eqs]
+            assert _rank(new) == _rank(ref) == _rank(new + ref) == len(new)
+            for a, b in inequalities:
+                assert all(v.denominator == 1 for v in a + (b,))
+                assert math.gcd(*(int(v) for v in a + (b,))) == 1
+            facets += len(inequalities)
+            flat += len(equalities) >= 2
+        assert facets >= 2500 and flat >= 300
+
+    def test_one_point_has_no_facets(self):
+        point = (F(1, 3), F(2, 3))
+        equalities, inequalities = polytope_inequalities([point] * 2)
+        assert inequalities == []
+        assert _rank([tuple(a) + (-b,) for a, b in equalities]) == 2
+        assert all(dot(a, point) == b for a, b in equalities)
+
+    def test_segment_and_triangle(self):
+        assert polytope_inequalities([(F(0),), (F(2),)]) == ([], [((F(1),), F(0)), ((F(-1),), F(-2))])
+        _, triangle = polytope_inequalities([(0, 0), (1, 0), (0, 1), (F(1, 3), F(1, 3))])
+        assert sorted(triangle) == sorted(
+            [((F(1), F(0)), F(0)), ((F(0), F(1)), F(0)), ((F(-1), F(-1)), F(-1))]
         )
