@@ -220,7 +220,6 @@ def strongly_invariant_natex(
     dominating invariant prevision exists, and :class:`SureLossError`
     when even the credal set is empty.
     """
-    CredalSet(assessment).nonempty()
     orbits = core_orbits(m)
     if orbits:  # an invariant prevision is a law on the orbits, paying orbit means
         space = Space(tuple(range(len(orbits))))
@@ -229,6 +228,9 @@ def strongly_invariant_natex(
         result = CredalSet(Assessment(space, items)).minimise(means)
         if result.status == "optimal":
             return result.value
+    # a dominating invariant prevision lies in the credal set, so only now
+    # can the assessment incur sure loss
+    CredalSet(assessment).nonempty()
     raise NoInvariantDominatorError("no invariant coherent prevision dominates the assessment")
 
 

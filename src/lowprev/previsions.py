@@ -97,24 +97,25 @@ class CredalSet:
         self.assessment = assessment
         self.space = assessment.space
         n = self.space.size
-        by_coeffs: dict[tuple, Fraction] = {}
+        # keyed on each value's (numerator, denominator): a tuple of those
+        # hashes without the modular inverse every Fraction hash computes
+        bounds: dict[tuple, tuple] = {}
         for g, b in assessment.items:
-            key = g.values
-            if key not in by_coeffs or b > by_coeffs[key]:
-                by_coeffs[key] = b
+            key = tuple(map(Fraction.as_integer_ratio, g.values))
+            old = bounds.get(key)
+            if old is None or b > old[1]:
+                bounds[key] = (g.values, b)
         rows = []
-        done = set()
-        for coeffs, b in by_coeffs.items():
-            if coeffs in done:
+        merged = set()
+        for key, (coeffs, b) in bounds.items():
+            if key in merged:
                 continue
-            neg = tuple(-v for v in coeffs)
-            if neg in by_coeffs and by_coeffs[neg] == -b and neg != coeffs:
+            neg = tuple([(-p, q) for p, q in key])
+            if neg in bounds and bounds[neg][1] == -b and neg != key:
                 rows.append(Constraint(coeffs, "==", b))
-                done.add(coeffs)
-                done.add(neg)
+                merged.add(neg)
             else:
                 rows.append(Constraint(coeffs, ">=", b))
-                done.add(coeffs)
         self.lp = SimplexLP(n, None, tuple(rows))
 
     def is_empty(self) -> bool:

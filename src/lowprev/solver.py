@@ -6,7 +6,10 @@ over one common denominator, pivoted by exact integer division
 (fraction-free pivoting after Edmonds and Bareiss, as in Avis's lrs).
 Bland's rule guarantees termination, and exact arithmetic makes optimality
 and feasibility decisions sharp, so callers can assert equalities rather
-than tolerances.
+than tolerances.  Phase 1 stores an artificial column only for a row with
+no slack-like column, one zero in every other row; such a column is a
+fixed multiple of its row's artificial, so the narrower tableau takes the
+same pivots.
 
 On top of the raw solver sit the four operations the rest of the library
 uses: minimising a linear objective over a polytope inside the simplex,
@@ -74,7 +77,10 @@ class SimplexLP:
         object.__setattr__(self, "constraints", tuple(rows))
 
     def with_objective(self, objective: Sequence) -> "SimplexLP":
-        return SimplexLP(self.n, tuple(frac(c) for c in objective), self.constraints)
+        """The same polytope under another objective; its rows stay as validated."""
+        lp = SimplexLP(self.n, objective)
+        object.__setattr__(lp, "constraints", self.constraints)
+        return lp
 
 
 @dataclass(frozen=True)
@@ -88,21 +94,21 @@ class LPResult:
 # standard-form core: min c.x  s.t.  A.x = b, x >= 0
 # ---------------------------------------------------------------------------
 
-def _pivot(rows, basis, d, r, k):
-    """Fraction-free pivot on entry (r, k) of the integer tableau rows / d.
+def _pivot(rows, basis, d, r, k, col):
+    """Fraction-free pivot on row r and logical column k, entries ``col``.
 
-    Every row, the objective row included, is rescaled to the new common
-    denominator, the pivot entry; the division by the old one is exact
-    (Bareiss).  A negative pivot, possible only when driving an artificial
-    out, negates every row so the denominator stays positive.  Returns the
-    new denominator.
+    ``col`` has an entry per row, the objective's too, so an unstored
+    column can enter.  Every row is rescaled to the new common denominator,
+    the pivot entry; the division by the old one is exact (Bareiss).  A
+    negative pivot, possible only when driving an artificial out, negates
+    every row so the denominator stays positive.  Returns the new one.
     """
     prow = rows[r]
-    p = prow[k]
+    p = col[r]
     for i, row in enumerate(rows):
         if i == r:
             continue
-        f = row[k]
+        f = col[i]
         if f:
             rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
         elif p != d:
@@ -114,22 +120,34 @@ def _pivot(rows, basis, d, r, k):
     return p
 
 
-def _bland_min(rows, basis, d, ncols):
+def _bland_min(rows, basis, d, n, artificials=()):
     """Run primal simplex to optimality on a min problem.
 
     ``rows`` holds one row per basic variable and, last, the reduced-cost
-    row scaled by the denominator ``d``; each ends with its rhs.  Returns
-    the status, 'optimal' or 'unbounded', and the final denominator.
+    row scaled by the denominator ``d``; each ends with its rhs.  The
+    first ``n`` columns are structural.  Artificial i, logical column
+    n + i, is read from stored column j as (j, c, w): its entries are
+    column j's over c, its reduced cost d.w more.  Returns the status,
+    'optimal' or 'unbounded', and the final denominator.
     """
     m = len(basis)
     while True:
         z = rows[-1]
-        entering = next((j for j in range(ncols) if z[j] < 0), -1)  # Bland
-        if entering < 0:
-            return "optimal", d
+        k = next((j for j in range(n) if z[j] < 0), -1)  # Bland
+        if k >= 0:
+            col = [row[k] for row in rows]
+        else:
+            for i, (j, c, w) in enumerate(artificials):
+                cost = d * w + z[j] // c
+                if cost < 0:
+                    k = n + i
+                    col = [row[j] // c for row in rows[:-1]] + [cost]
+                    break
+            else:
+                return "optimal", d
         leaving = -1
         for i in range(m):
-            a = rows[i][entering]
+            a = col[i]
             if a > 0:
                 if leaving < 0:
                     leaving, a_best, b_best = i, a, rows[i][-1]
@@ -140,7 +158,7 @@ def _bland_min(rows, basis, d, ncols):
                     leaving, a_best, b_best = i, a, rows[i][-1]
         if leaving < 0:
             return "unbounded", d
-        d = _pivot(rows, basis, d, leaving, entering)
+        d = _pivot(rows, basis, d, leaving, k, col)
 
 
 def _scaled(values):
@@ -158,39 +176,55 @@ def solve_standard(a_rows, b, c):
     'unbounded'.  Each row is scaled to integers by the lcm of its
     denominators, and the tableau is kept as integers over one common
     denominator.
+
+    Phase 1 has one artificial per row, but stores its column only when
+    no column j is zero outside row i.  Such a column, a slack's, starts
+    as c_i times artificial i's and row operations keep it so; artificial
+    columns hold integer cofactors, so artificial i reads exactly as
+    column j over c_i, its reduced cost d.w_i more (w_i its cost).  It is
+    built when Bland's scan reaches the artificials, so every pivot is
+    the one the tableau with every artificial column would take.
     """
     m = len(a_rows)
     n = len(c)
-    # phase 1 with one artificial per row, rhs made non-negative
+    # rows scaled to integers, rhs made non-negative
     rows, scales = [], []
     for i in range(m):
         ints, s = _scaled(list(a_rows[i]) + [b[i]])
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        art = [0] * m
-        art[i] = 1
-        rows.append(ints[:n] + art + ints[n:])
+        rows.append([-v for v in ints] if ints[-1] < 0 else ints)
         scales.append(s)
     # artificial i costs lcm/s_i: the unit cost of the unscaled artificial,
     # times lcm; its reduced costs start at minus the weighted row sum
     top = lcm(*scales)
-    cost = [0] * (n + m + 1)
-    for s, row in zip(scales, rows):
-        w = top // s
+    weights = [top // s for s in scales]
+    cost = [0] * (n + 1)
+    for w, row in zip(weights, rows):
         cost = [v - w * a for v, a in zip(cost, row)]
-    cost[n:n + m] = [0] * m
-    rows.append(cost)
+    # a column zero outside row i, a slack's, carries artificial i as
+    # (j, c_i, w_i); the other artificials are stored, as (column, 1, 0)
+    owner = {}
+    for j in range(n):
+        hits = [i for i, row in enumerate(rows) if row[j]]
+        if len(hits) == 1:
+            owner.setdefault(hits[0], j)
+    stored = [i for i in range(m) if i not in owner]
+    artificials = [
+        (owner[i], rows[i][owner[i]], weights[i]) if i in owner else (n + stored.index(i), 1, 0)
+        for i in range(m)
+    ]
+    rows = [row[:n] + [int(t == i) for t in stored] + row[n:] for i, row in enumerate(rows)]
+    rows.append(cost[:n] + [0] * len(stored) + cost[n:])
     basis = [n + i for i in range(m)]
-    _, d = _bland_min(rows, basis, 1, n + m)
+    _, d = _bland_min(rows, basis, 1, n, artificials)
     rows.pop()
     if any(rows[i][-1] for i in range(m) if basis[i] >= n):
         return "infeasible", None, None
     # drive leftover artificials out of the basis (degenerate at 0)
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j] != 0), None)
-            if col is not None:
-                d = _pivot(rows, basis, d, i, col)
+            k = next((j for j in range(n) if rows[i][j] != 0), None)
+            if k is not None:
+                d = _pivot(rows, basis, d, i, k, [row[k] for row in rows])
     # drop redundant rows still pinned to an artificial
     keep = [i for i in range(m) if basis[i] < n]
     rows = [rows[i][:n] + [rows[i][-1]] for i in keep]

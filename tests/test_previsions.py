@@ -23,6 +23,9 @@ from lowprev import (
     upper_extension,
     Space,
 )
+from lowprev.core import Gamble
+from lowprev.previsions import CredalSet
+from lowprev.solver import Constraint
 
 from conftest import rnd_asl_assessment, rnd_frac, rnd_gamble
 
@@ -338,6 +341,78 @@ class TestDuplicatesAndEdges:
         mu = gamble(space4, [F(-2, 3)] * 4)
         assert natural_extension(vacuous, mu) == F(-2, 3)
         assert upper_extension(vacuous, mu) == F(-2, 3)
+
+
+def fraction_keyed_rows(assessment):
+    """The credal rows as built with tuples of Fractions as dict keys."""
+    by_coeffs = {}
+    for g, b in assessment.items:
+        key = g.values
+        if key not in by_coeffs or b > by_coeffs[key]:
+            by_coeffs[key] = b
+    rows = []
+    done = set()
+    for coeffs, b in by_coeffs.items():
+        if coeffs in done:
+            continue
+        neg = tuple(-v for v in coeffs)
+        if neg in by_coeffs and by_coeffs[neg] == -b and neg != coeffs:
+            rows.append(Constraint(coeffs, "==", b))
+            done.add(coeffs)
+            done.add(neg)
+        else:
+            rows.append(Constraint(coeffs, ">=", b))
+            done.add(coeffs)
+    return tuple(rows)
+
+
+class TestCredalRowOracle:
+    @staticmethod
+    def spelled(rng, v):
+        """One of the spellings of a rational value that a Gamble accepts."""
+        forms = [v, f"{v.numerator}/{v.denominator}"]
+        if v.denominator == 1:
+            forms += [v.numerator, str(v.numerator)]
+        return rng.choice(forms)
+
+    def random_assessment(self, rng):
+        space = Space(tuple(f"x{i}" for i in range(rng.randint(1, 4))))
+        pool = [rnd_frac(rng, -2, 2, 2) for _ in range(space.size)]
+        items = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.random()
+            if items and kind < 0.25:  # a repeat, with its own bound
+                f, b = rng.choice(items)
+                items.append((f, rng.choice([b, b + F(1, 2), b - 1])))
+            elif items and kind < 0.5:  # its opposite, matching or not
+                f, b = rng.choice(items)
+                items.append((-f, rng.choice([-b, -b, -b + F(1, 3)])))
+            elif kind < 0.6:
+                items.append((Gamble(space, (0,) * space.size), rng.choice([F(0), F(-1), F(1, 2)])))
+            else:
+                values = [self.spelled(rng, rng.choice(pool)) for _ in space]
+                items.append((Gamble(space, tuple(values)), rnd_frac(rng, -2, 2, 3)))
+        if items and rng.random() < 0.5:  # a gamble given again in other spellings
+            f, b = rng.choice(items)
+            again = Gamble(space, tuple(self.spelled(rng, v) for v in f.values))
+            items.append((again, self.spelled(rng, b)))
+        rng.shuffle(items)
+        return Assessment(space, tuple(items))
+
+    def test_matches_fraction_keyed_rows(self):
+        rng = random.Random(1800)
+        kinds = {"==": 0, ">=": 0}
+        for _ in range(600):
+            a = self.random_assessment(rng)
+            rows = CredalSet(a).lp.constraints
+            expected = fraction_keyed_rows(a)
+            assert [(c.coeffs, c.relation, c.rhs) for c in rows] == [
+                (c.coeffs, c.relation, c.rhs) for c in expected
+            ]
+            assert all(type(v) is F for c in rows for v in c.coeffs + (c.rhs,))
+            for c in rows:
+                kinds[c.relation] += 1
+        assert kinds["=="] >= 50 and kinds[">="] >= 1000
 
 
 class TestPrimalFormulaOracles:

@@ -8,7 +8,8 @@ import pytest
 from lowprev import CapExceededError, Constraint, SimplexLP, enumerate_vertices, solve_fractional_min, solve_min, solve_minmax
 from lowprev.errors import PositivityError
 from lowprev.solver import LPResult, extreme_points, polytope_inequalities, satisfies, solve_standard
-from lowprev.solver import _primitive, _row_reduce, _solve_affine
+from lowprev import solver
+from lowprev.solver import _primitive, _row_reduce, _scaled, _solve_affine
 
 F = Fraction
 
@@ -495,6 +496,175 @@ class TestPivotPath:
         assert solve_standard(rows, [F(0), F(0), F(1)], cost) == (
             "optimal", F(-1, 20), (F(1, 25), 0, 1, 0, F(3, 100), 0, 0)
         )
+
+
+def reference_pivot(rows, basis, d, r, k, path):
+    """Fraction-free pivot on entry (r, k) of a tableau storing every column."""
+    path.append((r, k))
+    prow = rows[r]
+    p = prow[k]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[k]
+        if f:
+            rows[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+        elif p != d:
+            rows[i] = [p * v // d for v in row]
+    basis[r] = k
+    if p < 0:
+        rows[:] = [[-v for v in row] for row in rows]
+        p = -p
+    return p
+
+
+def reference_bland_min(rows, basis, d, ncols, path):
+    m = len(basis)
+    while True:
+        z = rows[-1]
+        entering = next((j for j in range(ncols) if z[j] < 0), -1)
+        if entering < 0:
+            return "optimal", d
+        leaving = -1
+        for i in range(m):
+            a = rows[i][entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving, a_best, b_best = i, a, rows[i][-1]
+                    continue
+                lhs, rhs = rows[i][-1] * a_best, b_best * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, a_best, b_best = i, a, rows[i][-1]
+        if leaving < 0:
+            return "unbounded", d
+        d = reference_pivot(rows, basis, d, leaving, entering, path)
+
+
+def all_artificial_solve_standard(a_rows, b, c, path):
+    """The two-phase kernel with one stored artificial column per row.
+
+    Appends each pivot's (row, column) to ``path``; artificial i is column
+    len(c) + i, as in the library's basis.
+    """
+    m = len(a_rows)
+    n = len(c)
+    rows, scales = [], []
+    for i in range(m):
+        ints, s = _scaled(list(a_rows[i]) + [b[i]])
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
+        art = [0] * m
+        art[i] = 1
+        rows.append(ints[:n] + art + ints[n:])
+        scales.append(s)
+    top = math.lcm(*scales)
+    cost = [0] * (n + m + 1)
+    for s, row in zip(scales, rows):
+        w = top // s
+        cost = [v - w * a for v, a in zip(cost, row)]
+    cost[n:n + m] = [0] * m
+    rows.append(cost)
+    basis = [n + i for i in range(m)]
+    _, d = reference_bland_min(rows, basis, 1, n + m, path)
+    rows.pop()
+    if any(rows[i][-1] for i in range(m) if basis[i] >= n):
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if rows[i][j] != 0), None)
+            if col is not None:
+                d = reference_pivot(rows, basis, d, i, col, path)
+    keep = [i for i in range(m) if basis[i] < n]
+    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    cints, s = _scaled(c)
+    cost = [d * v for v in cints] + [0]
+    for bi, row in zip(basis, rows):
+        if cints[bi]:
+            cost = [v - cints[bi] * a for v, a in zip(cost, row)]
+    rows.append(cost)
+    status, d = reference_bland_min(rows, basis, d, n, path)
+    if status == "unbounded":
+        return "unbounded", None, None
+    x = [F(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = F(rows[i][-1], d)
+    return "optimal", F(-rows[-1][-1], d * s), tuple(x)
+
+
+class TestUnstoredArtificials:
+    """The kernel against a tableau that stores every artificial column.
+
+    A row with a column zero in every other row, a slack's, has its
+    artificial read from that column, so both must give the same answers
+    by the same pivots, artificial entries included.
+    """
+
+    @staticmethod
+    def random_program(rng):
+        m, n = rng.randint(4, 8), rng.randint(2, 4)
+        magnitudes = [F(1, 3), F(1), F(2), F(3), F(7)]
+
+        def entry():
+            return rng.choice([-1, 1]) * rng.choice(magnitudes) if rng.random() < 0.9 else F(0)
+
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        for i in range(m):  # singleton columns of either sign
+            if rng.random() < 0.7:
+                v = rng.choice([-1, 1]) * rng.choice(magnitudes)
+                for k, row in enumerate(rows):
+                    row.append(v if k == i else F(0))
+        # a zero, degenerate rhs 60% of the time, else often a negative one
+        rhs = [
+            F(0) if rng.random() < 0.6 else F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+            for _ in range(m)
+        ]
+        if rng.random() < 0.2:  # a redundant row, possibly negated
+            i, j = rng.sample(range(m), 2)
+            k = F(rng.choice([-3, -1, 2]), rng.choice([1, 2]))
+            rows[j], rhs[j] = [k * v for v in rows[i]], k * rhs[i]
+        width = len(rows[0])
+        order = rng.sample(range(width), width)
+        rows = [[row[j] for j in order] for row in rows]
+        if rng.random() < 0.1:  # bounded by sum(x) == 1
+            at = rng.randint(0, m)
+            rows.insert(at, [F(1)] * width)
+            rhs.insert(at, F(1))
+        cost = [F(rng.randint(-5, 5), rng.choice([1, 2, 4])) for _ in range(width)]
+        return rows, rhs, cost
+
+    @staticmethod
+    def rows_with_a_singleton(rows):
+        out = set()
+        for j in range(len(rows[0])):
+            hits = [i for i, row in enumerate(rows) if row[j]]
+            if len(hits) == 1:
+                out.add(hits[0])
+        return out
+
+    def test_same_answers_by_the_same_pivots(self, monkeypatch):
+        path = []
+        pivot = solver._pivot
+
+        def recorded(rows, basis, d, r, k, col):
+            path.append((r, k))
+            return pivot(rows, basis, d, r, k, col)
+
+        monkeypatch.setattr(solver, "_pivot", recorded)
+        rng = random.Random(1801)
+        statuses, unstored_entries = [], 0
+        for _ in range(6000):
+            rows, rhs, cost = self.random_program(rng)
+            expected_path = []
+            expected = all_artificial_solve_standard(rows, rhs, cost, expected_path)
+            path.clear()
+            assert solver.solve_standard(rows, rhs, cost) == expected
+            assert path == expected_path
+            n, singles = len(cost), self.rows_with_a_singleton(rows)
+            unstored_entries += sum(1 for _, k in path if k >= n and k - n in singles)
+            statuses.append(expected[0])
+        assert unstored_entries >= 100
+        assert min(statuses.count(s) for s in ("optimal", "infeasible", "unbounded")) >= 300
 
 
 def d_subset_inequalities(points):
