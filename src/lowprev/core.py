@@ -44,9 +44,10 @@ class Space:
         return len(self.outcomes)
 
 
-def _check_same_space(a, b):
-    if a.space != b.space:
-        raise SpaceMismatchError(f"{a!r} and {b!r} live on different spaces")
+def _check_same_space(a, *others):
+    for b in others:
+        if a.space != b.space:
+            raise SpaceMismatchError(f"{a!r} and {b!r} live on different spaces")
 
 
 @dataclass(frozen=True)

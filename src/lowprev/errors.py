@@ -36,7 +36,7 @@ class NotStronglyInvariantError(LowPrevError):
 
 
 class TruncatedClosureError(LowPrevError):
-    """Classification needs the full closure but it was truncated."""
+    """A closure, or a gamble's set of lifts, exceeded the monoid's cap."""
 
 
 class ValidationError(LowPrevError):

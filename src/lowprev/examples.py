@@ -230,7 +230,7 @@ def _possibility():
             == possibility_upper(lam, t.preimage(Event(space, frozenset(combo))))
             for r in range(space.size + 1)
             for combo in itertools.combinations(space.outcomes, r)
-            for t in group.closure
+            for t in group.generators
         )
 
     flat = gamble(space, [1, 1, F(1, 2), F(1, 2)])

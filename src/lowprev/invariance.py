@@ -14,9 +14,10 @@ representation of exchangeable models is the case of position
 permutations.  Whether one exists, the vertices of their polytope and
 the smallest strongly invariant dominating model all read from those
 orbits, the last as one LP with one variable per orbit and each assessed
-gamble replaced by its orbit means.  The mixture lower prevision is one
-min-max LP over the credal set, and the quotient of a strongly invariant
-model under a group maps each assessed gamble to its atom means.
+gamble replaced by its orbit means.  The quotient of a strongly invariant
+model under a group maps each assessed gamble to its atom means.  The
+mixture lower prevision, symmetrisation and the lifting checks read only
+the distinct lifts of gambles (:func:`~lowprev.transforms.lifted_gambles`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Gamble, Space, Transformation, _check_same_space, lift
+from .core import Gamble, Space, _check_same_space, lift
 from .errors import (
+    CapExceededError,
     NoInvariantDominatorError,
     NotAGroupError,
     NotStronglyInvariantError,
@@ -41,7 +43,7 @@ from .previsions import (
 )
 from .solver import ZERO, solve_minmax
 from .transforms import TransformationMonoid, core_orbits, invariant_atoms
-from .transforms import InvariantAtoms, pushforward, words
+from .transforms import InvariantAtoms, lifted_gambles, pushforward
 
 
 # ---------------------------------------------------------------------------
@@ -51,17 +53,11 @@ from .transforms import InvariantAtoms, pushforward, words
 def assessment_weakly_invariant(assessment: Assessment, m: TransformationMonoid) -> bool:
     """Domain closed under lifting, with bounds that never drop.
 
-    Checking the generators suffices: lifted constraints compose.
+    Checking the generators suffices: lifted constraints compose.  So it
+    holds when one lifting step adds no gamble and raises no bound.
     """
-    domain = assessment.domain()
-    for f in domain:
-        b = assessment.bound(f)
-        for t in m.generators:
-            lifted = lift(t, f)
-            lifted_bound = assessment.bound(lifted)
-            if lifted_bound is None or lifted_bound < b:
-                return False
-    return True
+    items, cap = assessment.items, len(assessment.items)
+    return lifted_gambles(m.generators, items, cap, 1) == lifted_gambles(m.generators, items, cap, 0)
 
 
 def _all_at_least(assessment: Assessment, pairs) -> bool:
@@ -78,21 +74,11 @@ def _all_at_least(assessment: Assessment, pairs) -> bool:
     return True
 
 
-def _weak_credal_witness(assessment: Assessment, vertices, m: TransformationMonoid):
-    """First (vertex, generator) whose pushforward leaves the credal set."""
-    credal = CredalSet(assessment)
+def _witness(vertices, m: TransformationMonoid, fails):
+    """First (vertex, generator T) with fails(vertex, pushforward(T, vertex))."""
     for vertex in vertices:
         for t in m.generators:
-            if not credal.contains(pushforward(t, vertex)):
-                return vertex, t
-    return None
-
-
-def _strong_witness(vertices, m: TransformationMonoid):
-    """First (vertex, generator) with pushforward(T, v) != v."""
-    for vertex in vertices:
-        for t in m.generators:
-            if pushforward(t, vertex) != vertex:
+            if fails(vertex, pushforward(t, vertex)):
                 return vertex, t
     return None
 
@@ -116,6 +102,7 @@ def strongly_invariant(assessment: Assessment, m: TransformationMonoid) -> bool:
     generator permutes the core, so its rows sum to zero along every cycle,
     and lower envelopes >= 0 on all rows force equality.
     """
+    _check_same_space(assessment, m)
     n = assessment.space.size
     core = {x for orbit in core_orbits(m) for x in orbit}
     rows = [{x: -1} for x in range(n) if x not in core]
@@ -146,8 +133,9 @@ def invariance_report(assessment: Assessment, m: TransformationMonoid) -> Invari
         vertices = sorted(credal_vertices(assessment))
     except SureLossError:
         return InvarianceReport(weak_domain, None, None, {})
-    weak_witness = _weak_credal_witness(assessment, vertices, m)
-    strong_witness = _strong_witness(vertices, m)
+    credal = CredalSet(assessment)
+    weak_witness = _witness(vertices, m, lambda v, q: not credal.contains(q))
+    strong_witness = _witness(vertices, m, lambda v, q: q != v)
     if weak_witness is not None:
         witnesses["weak"] = weak_witness
     if strong_witness is not None:
@@ -164,25 +152,12 @@ def weakly_invariant_closure(
 
     Every lifted gamble inherits the strongest bound of its sources, so
     the result is weakly invariant at the assessment level, and so is its
-    natural extension.
+    natural extension.  Raises :class:`CapExceededError` when the closure
+    has more than ``cap`` gambles.
     """
-    from .errors import CapExceededError
-
-    bounds: dict[Gamble, Fraction] = {}
-    for f, b in assessment.items:
-        if f not in bounds or bounds[f] < b:
-            bounds[f] = b
-    queue = list(bounds)
-    while queue:
-        f = queue.pop()
-        b = bounds[f]
-        for t in m.generators:
-            lifted = lift(t, f)
-            if lifted not in bounds or bounds[lifted] < b:
-                bounds[lifted] = b
-                queue.append(lifted)
-                if len(bounds) > cap:
-                    raise CapExceededError("lifting closure exceeded the cap")
+    bounds = lifted_gambles(m.generators, assessment.items, cap)
+    if len(bounds) > cap:
+        raise CapExceededError("lifting closure exceeded the cap")
     return Assessment(assessment.space, tuple(bounds.items()))
 
 
@@ -220,6 +195,7 @@ def strongly_invariant_natex(
     dominating invariant prevision exists, and :class:`SureLossError`
     when even the credal set is empty.
     """
+    _check_same_space(assessment, m, g)
     orbits = core_orbits(m)
     if orbits:  # an invariant prevision is a law on the orbits, paying orbit means
         space = Space(tuple(range(len(orbits))))
@@ -238,11 +214,6 @@ def strongly_invariant_natex(
 # mixture lower previsions
 # ---------------------------------------------------------------------------
 
-def words_up_to(m: TransformationMonoid, depth: int) -> list[Transformation]:
-    """Distinct compositions of at most ``depth`` generators, identity first."""
-    return list(words(m.generators, depth))
-
-
 def mixture_lower_prevision(
     assessment: Assessment, m: TransformationMonoid, g: Gamble, depth: int
 ) -> Fraction:
@@ -251,13 +222,17 @@ def mixture_lower_prevision(
     The sup over convex mixtures rho of words w (length <= depth) of
     E(sum_w rho_w lift(w, g)).  By the minimax theorem this equals the
     min over the credal set of max_w P(lift(w, g)), one exact LP over the
-    assessment's rows with no vertex enumeration.  Uniform averages with
-    repetition realise every rational mixture, so this is their supremum
-    too.  Monotone non-decreasing in ``depth``.  Raises
+    assessment's rows, one objective per distinct lift.  Uniform averages
+    with repetition realise every rational mixture, so this is their
+    supremum too.  Monotone non-decreasing in ``depth``.  Raises
+    :class:`TruncatedClosureError` past the monoid's cap of lifts and
     :class:`SureLossError` when the credal set is empty.
     """
-    lifted = [lift(w, g).values for w in words_up_to(m, depth)]
-    result = solve_minmax(lifted, CredalSet(assessment).lp)
+    _check_same_space(assessment, m, g)
+    lifts = lifted_gambles(m.generators, [(g, ZERO)], m.cap, depth)
+    if len(lifts) > m.cap:
+        raise TruncatedClosureError("more distinct lifts than the closure cap")
+    result = solve_minmax([h.values for h in lifts], CredalSet(assessment).lp)
     if result.status == "infeasible":
         raise SureLossError("assessment incurs sure loss")
     return result.value
@@ -277,16 +252,16 @@ def symmetrize(assessment: Assessment, group: TransformationMonoid, g: Gamble) -
 
     The resulting functional of g is weakly invariant under the group, and
     weakly invariant models are exactly its fixed points.  Equal lifts come
-    from one coset of g's stabiliser, so each distinct lift is hit equally
-    often and needs one minimum over the one credal set.  Raises
-    :class:`TruncatedClosureError` when the closure hit its cap and
+    from one coset of g's stabiliser, so the average runs over g's orbit,
+    one minimum per lift over the one credal set.  Raises
+    :class:`TruncatedClosureError` past the group's cap of lifts and
     :class:`SureLossError` when the credal set is empty.
     """
     _require_group(group)
-    if group.truncated:
-        raise TruncatedClosureError("cannot average over a truncated closure")
-    lifts = {lift(t, g) for t in group.closure}
     _check_same_space(assessment, g)
+    lifts = lifted_gambles(group.generators, [(g, ZERO)], group.cap)
+    if len(lifts) > group.cap:
+        raise TruncatedClosureError("the orbit of the gamble exceeds the closure cap")
     credal = CredalSet(assessment).nonempty()
     return sum(credal.minimise(h).value for h in lifts) / len(lifts)
 

@@ -1,9 +1,9 @@
 """Transformation monoids on finite spaces.
 
-Closure under composition, structural flags (Abelian, group,
-cancellability), the partition of the space into smallest invariant
-events, the orbits of the recurrent core (which carry the invariant
-probability mass functions), and the pushforward action on them.
+Closure under composition, the lifts of gambles, structural flags
+(Abelian, group, cancellability), the partition of the space into smallest
+invariant events, the orbits of the recurrent core (which carry the
+invariant probability mass functions), and the pushforward action on them.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .core import Space, Transformation, identity
+from .core import Gamble, Space, Transformation, identity, lift
 from .errors import TruncatedClosureError
 
 CLOSURE_CAP = 10_000
@@ -48,19 +48,16 @@ class TransformationMonoid:
         return self._enumerated[1]
 
 
-def words(
-    generators: Sequence[Transformation], depth: int | None = None
-) -> Iterator[Transformation]:
+def words(generators: Sequence[Transformation]) -> Iterator[Transformation]:
     """Distinct compositions of the generators, breadth first, identity first.
 
     Every word is a generator composed with a shorter word, so composition
-    on the left alone reaches them all.  Words of length up to ``depth``
-    are produced, or all of them when ``depth`` is None.
+    on the left alone reaches them all.
     """
     ident = identity(generators[0].space)
     seen, frontier = {ident}, [ident]
     yield ident
-    for _ in count() if depth is None else range(depth):
+    while frontier:
         nxt = []
         for t in frontier:
             for g in generators:
@@ -69,9 +66,36 @@ def words(
                     seen.add(w)
                     nxt.append(w)
                     yield w
-        if not nxt:
-            return
         frontier = nxt
+
+
+def lifted_gambles(
+    generators: Sequence[Transformation], pairs, cap: int, depth: int | None = None
+) -> dict[Gamble, Fraction]:
+    """The distinct lifts f o w of the gambles f in (f, bound) ``pairs``.
+
+    w ranges over the words of at most ``depth`` generators (all of them
+    when None), breadth first: lift(T, lift(w, f)) = lift(w o T, f).  Each
+    lift keeps the strongest bound of the pairs it lifts.  The search stops
+    once past ``cap`` gambles, so callers refuse a longer result.
+    """
+    found: dict[Gamble, Fraction] = {}
+    for f, b in pairs:
+        found[f] = max(b, found.get(f, b))
+    frontier, level = list(found), 0
+    while frontier and level != depth:
+        level += 1
+        nxt = []
+        for f in frontier:
+            for t in generators:
+                h = lift(t, f)
+                if h not in found or found[h] < found[f]:
+                    found[h] = found[f]
+                    nxt.append(h)
+                    if len(found) > cap:
+                        return found
+        frontier = nxt
+    return found
 
 
 def closure(generators: Iterable[Transformation], cap: int = CLOSURE_CAP) -> TransformationMonoid:
@@ -182,8 +206,6 @@ def core_orbits(m: TransformationMonoid) -> tuple[tuple[int, ...], ...]:
 
 def is_invariant_gamble(m: TransformationMonoid, f) -> bool:
     """lift(T, f) == f for every generator T."""
-    from .core import lift
-
     return all(lift(t, f) == f for t in m.generators)
 
 

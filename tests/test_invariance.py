@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from lowprev import (
     Assessment,
+    CapExceededError,
     NoInvariantDominatorError,
     NotAGroupError,
     Space,
+    SpaceMismatchError,
     SureLossError,
     Transformation,
     TruncatedClosureError,
@@ -38,7 +40,11 @@ from lowprev import (
     symmetrize,
     weakly_invariant_closure,
 )
-from lowprev.invariance import AtomLowerPrevision, quotient_space, words_up_to
+from lowprev import invariance
+from lowprev.invariance import AtomLowerPrevision, quotient_space
+from lowprev.previsions import CredalSet
+from lowprev.solver import solve_minmax
+from lowprev.transforms import lifted_gambles
 
 from conftest import (
     rnd_asl_assessment,
@@ -50,6 +56,76 @@ from conftest import (
 )
 
 F = Fraction
+ABC, XYZ = Space(("a", "b", "c")), Space(("x", "y", "z"))
+
+
+def words_up_to(generators, depth):
+    """Distinct compositions of at most ``depth`` generators, identity first.
+
+    The word list that mixture_lower_prevision passed to solve_minmax, one
+    objective per word, before it took the distinct lifts of the gamble.
+    """
+    ident = identity(generators[0].space)
+    seen, frontier = {ident}, [ident]
+    out = [ident]
+    for _ in range(depth):
+        nxt = []
+        for t in frontier:
+            for g in generators:
+                w = g.compose(t)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        out += nxt
+        frontier = nxt
+    return out
+
+
+def depth_first_closure(assessment, m, cap):
+    """weakly_invariant_closure as the depth-first loop that preceded
+    lifted_gambles: the (gamble, bound) map, or CapExceededError."""
+    bounds = {}
+    for f, b in assessment.items:
+        if f not in bounds or bounds[f] < b:
+            bounds[f] = b
+    queue = list(bounds)
+    while queue:
+        f = queue.pop()
+        b = bounds[f]
+        for t in m.generators:
+            lifted = lift(t, f)
+            if lifted not in bounds or bounds[lifted] < b:
+                bounds[lifted] = b
+                queue.append(lifted)
+                if len(bounds) > cap:
+                    raise CapExceededError("lifting closure exceeded the cap")
+    return bounds
+
+
+def generator_loop_weakly_invariant(assessment, m):
+    """assessment_weakly_invariant as the loop over the domain and the
+    generators that preceded lifted_gambles."""
+    for f in assessment.domain():
+        b = assessment.bound(f)
+        for t in m.generators:
+            lifted_bound = assessment.bound(lift(t, f))
+            if lifted_bound is None or lifted_bound < b:
+                return False
+    return True
+
+
+def random_lifting_case(rng, trial):
+    """A monoid on at most 4 points, of permutations or, on odd trials,
+    of arbitrary maps, and up to 3 items with values in {0, 1, 2}."""
+    n = rng.randint(1, 4)
+    space = Space(tuple(str(i) for i in range(n)))
+    pick = rnd_map if trial % 2 else rnd_permutation
+    m = monoid(space, [pick(rng, space) for _ in range(rng.randint(1, 3))])
+    items = tuple(
+        (gamble(space, [rng.randint(0, 2) for _ in range(n)]), F(rng.randint(-4, 4), 2))
+        for _ in range(rng.randint(1, 3))
+    )
+    return Assessment(space, items), m
 
 
 def dice_assessment(space, p):
@@ -150,6 +226,11 @@ class TestStrongInvariance:
         assert not strongly_invariant(
             Assessment.vacuous(s), monoid(s, [transposition(s, "1", "2")])
         )
+
+    def test_spaces_must_agree(self):
+        m = monoid(XYZ, [Transformation(XYZ, (1, 2, 0))])
+        with pytest.raises(SpaceMismatchError):
+            strongly_invariant(Assessment.vacuous(ABC), m)
 
     def test_identity_monoid_trivial(self, space3, rng):
         a = rnd_asl_assessment(rng, space3)
@@ -335,6 +416,14 @@ class TestStronglyInvariantNatex:
         assert ext(f1) + ext(f2) == F(-5, 4)
         assert ext(f1.meet(f2)) + ext(f1.join(f2)) < ext(f1) + ext(f2)
 
+    def test_spaces_must_agree(self):
+        m = monoid(ABC, [Transformation(ABC, (1, 2, 0))])
+        g = gamble(Space(("p", "q")), [1, 0])
+        with pytest.raises(SpaceMismatchError):
+            strongly_invariant_natex(Assessment.vacuous(ABC), m, g)
+        with pytest.raises(SpaceMismatchError):
+            strongly_invariant_natex(Assessment.vacuous(ABC), monoid(XYZ, [identity(XYZ)]), gamble(ABC, [1, 0, 0]))
+
     def test_no_invariant_dominator_raises(self, space3):
         m = monoid(space3, [constant_map(space3, "1"), constant_map(space3, "2")])
         with pytest.raises(NoInvariantDominatorError):
@@ -380,6 +469,47 @@ class TestNaturalExtensionPreservesWeakInvariance:
             for _ in range(5):
                 g = rnd_gamble(rng, space4)
                 assert natural_extension(a, lift(t, g)) >= natural_extension(a, g)
+
+
+class TestWeaklyInvariantClosure:
+    def test_matches_the_depth_first_loop(self):
+        # same (gamble, bound) map, and CapExceededError at the same caps
+        # from the number of distinct assessed gambles up; below it the
+        # assessment alone is past the cap and is refused
+        rng = random.Random(4242)
+        for trial in range(300):
+            a, m = random_lifting_case(rng, trial)
+            full = depth_first_closure(a, m, 10**6)
+            assert dict(weakly_invariant_closure(a, m, cap=10**6).items) == full
+            distinct = len(a.domain())
+            for cap in range(1, len(full) + 2):
+                if cap < distinct:
+                    with pytest.raises(CapExceededError):
+                        weakly_invariant_closure(a, m, cap=cap)
+                    continue
+                try:
+                    expected = depth_first_closure(a, m, cap)
+                except CapExceededError:
+                    with pytest.raises(CapExceededError):
+                        weakly_invariant_closure(a, m, cap=cap)
+                else:
+                    assert dict(weakly_invariant_closure(a, m, cap=cap).items) == expected
+
+    def test_assessment_level_check_matches_the_generator_loop(self):
+        # each drawn assessment, its lifting closure, and the closure with
+        # one bound lowered or one item dropped
+        rng = random.Random(4343)
+        verdicts = []
+        for trial in range(300):
+            a, m = random_lifting_case(rng, trial)
+            closed = list(depth_first_closure(a, m, 10**6).items())
+            (f, b), rest = closed[0], closed[1:]
+            for items in (a.items, closed, [(f, b - 1)] + rest, rest):
+                candidate = Assessment(a.space, tuple(items))
+                verdict = assessment_weakly_invariant(candidate, m)
+                assert verdict == generator_loop_weakly_invariant(candidate, m)
+                verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestMixtureLowerPrevision:
@@ -448,12 +578,54 @@ class TestMixtureLowerPrevision:
         with pytest.raises(SureLossError):
             mixture_lower_prevision(a, m, gamble(space3, [1, 0, 0]), 2)
 
+    def test_spaces_must_agree(self):
+        m = monoid(XYZ, [Transformation(XYZ, (1, 2, 0))])
+        a = Assessment(ABC, ((gamble(ABC, [1, 0, 0]), F(1, 3)),))
+        with pytest.raises(SpaceMismatchError):
+            mixture_lower_prevision(a, m, gamble(XYZ, [1, 2, 3]), 2)
+        with pytest.raises(SpaceMismatchError):
+            mixture_lower_prevision(a, monoid(ABC, [identity(ABC)]), gamble(XYZ, [1, 2, 3]), 2)
+
+    def test_distinct_lifts_match_one_objective_per_word(self):
+        # the words-based LP on 300 seeded monoids, half of them of
+        # arbitrary maps, with gambles that tie; permutations of six points
+        # take at most two generators, since three give the oracle's LP
+        # up to 364 objectives and several seconds each
+        rng = random.Random(1919)
+        for trial in range(300):
+            n = rng.randint(1, 6)
+            space = Space(tuple(str(i) for i in range(n)))
+            pick = rnd_map if trial % 2 else rnd_permutation
+            most = 2 if n == 6 and pick is rnd_permutation else 3
+            m = monoid(space, [pick(rng, space) for _ in range(rng.randint(1, most))])
+            a = rnd_asl_assessment(rng, space, max_items=3)
+            g = gamble(space, [rng.randint(-2, 2) for _ in range(n)])
+            depth = rng.randint(0, 5)
+            lifted = [lift(w, g).values for w in words_up_to(m.generators, depth)]
+            expected = solve_minmax(lifted, CredalSet(a).lp).value
+            assert mixture_lower_prevision(a, m, g, depth) == expected
+
+    def test_s6_passes_one_objective_per_distinct_lift(self, space6, monkeypatch):
+        # 720 words of S6 lie within depth 20, and they lift g to its 20
+        # placements of three ones
+        counts = []
+
+        def counting(objectives, lp):
+            counts.append(len(objectives))
+            return solve_minmax(objectives, lp)
+
+        monkeypatch.setattr(invariance, "solve_minmax", counting)
+        group = full_symmetric_monoid(space6)
+        g = gamble(space6, [1, 1, 1, 0, 0, 0])
+        assert mixture_lower_prevision(Assessment.vacuous(space6), group, g, 20) == F(1, 2)
+        assert counts == [20]
+
     def test_words_collect_all_short_compositions(self, space3):
         t1 = Transformation(space3, (0, 1, 1))
         t2 = Transformation(space3, (0, 2, 2))
-        m = monoid(space3, [t1, t2])
-        assert set(words_up_to(m, 0)) == {identity(space3)}
-        assert set(words_up_to(m, 2)) == {identity(space3), t1, t2}
+        g = gamble(space3, [1, 2, 3])
+        assert set(lifted_gambles([t1, t2], [(g, F(0))], 10, 0)) == {g}
+        assert set(lifted_gambles([t1, t2], [(g, F(0))], 10, 2)) == {g, lift(t1, g), lift(t2, g)}
 
 
 class TestSymmetrize:
@@ -493,13 +665,15 @@ class TestSymmetrize:
             symmetrize(Assessment.vacuous(space3), m, gamble(space3, [1, 0, 0]))
 
     def test_truncated_closure_is_refused(self):
-        # the average runs over the whole group, so a capped closure of S4
-        # (24 elements, cap 5) cannot give it
+        # the average runs over the orbit of the gamble: under a capped
+        # closure of S4 (24 elements, cap 5) distinct values have 24 lifts,
+        # past the cap, while a point indicator has 4
         space = Space(("1", "2", "3", "4"))
         group = monoid(space, full_symmetric_monoid(space).generators, cap=5)
         assert group.truncated
         with pytest.raises(TruncatedClosureError):
-            symmetrize(Assessment.vacuous(space), group, gamble(space, [1, 0, 0, 0]))
+            symmetrize(Assessment.vacuous(space), group, gamble(space, [1, 2, 3, 4]))
+        assert symmetrize(Assessment.vacuous(space), group, gamble(space, [1, 0, 0, 0])) == 0
 
 
 class TestSymmetrizeByDistinctLifts:
@@ -515,6 +689,31 @@ class TestSymmetrizeByDistinctLifts:
                     elems = group.closure
                     average = sum(natural_extension(a, lift(t, g)) for t in elems) / len(elems)
                     assert symmetrize(a, group, g) == average
+
+    def test_random_permutation_groups_match_the_closure_average(self):
+        rng = random.Random(8086)
+        for size in (3, 4, 5):
+            space = Space(tuple(str(i) for i in range(size)))
+            cyclic = monoid(space, [Transformation(space, tuple(list(range(1, size)) + [0]))])
+            drawn = [monoid(space, [rnd_permutation(rng, space) for _ in range(rng.randint(1, 2))]) for _ in range(2)]
+            for group in (full_symmetric_monoid(space), cyclic, *drawn):
+                elems = group.closure
+                for _ in range(3):
+                    a = rnd_asl_assessment(rng, space, max_items=3)
+                    g = gamble(space, [rng.randint(0, 2) for _ in range(size)])
+                    average = sum(natural_extension(a, lift(t, g)) for t in elems) / len(elems)
+                    assert symmetrize(a, group, g) == average
+
+    def test_orbit_past_the_closure_cap_of_s8(self):
+        # a swap and an 8-cycle generate S8, 40320 maps past the closure
+        # cap, while a gamble that is 1 on three points has 56 lifts
+        space = Space(tuple(str(i) for i in range(8)))
+        swap = Transformation(space, (1, 0, 2, 3, 4, 5, 6, 7))
+        cycle = Transformation(space, tuple((i + 1) % 8 for i in range(8)))
+        group = monoid(space, [swap, cycle])
+        g = gamble(space, [1, 1, 1, 0, 0, 0, 0, 0])
+        assert symmetrize(Assessment.vacuous(space), group, g) == 0
+        assert symmetrize(Assessment.from_prevision(space, [F(1, 8)] * 8), group, g) == F(3, 8)
 
     def test_sure_loss_is_refused(self, space3):
         a = Assessment(space3, ((gamble(space3, [1, 1, 1]), F(2)),))
