@@ -18,6 +18,7 @@ enumerating the polytope's extreme points, and minimising a ratio of two
 linear functionals via the Charnes-Cooper change of variables.  All LPs
 over a polytope share one standard-form encoding of its rows, and the one
 vertex search also finds a hull's facets, as the vertices of its polar.
+Row reduction is fraction-free too: the simplex pivot is the one elimination.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def _pivot(rows, basis, d, r, k, col):
     ``col`` has an entry per row, the objective's too, so an unstored
     column can enter.  Every row is rescaled to the new common denominator,
     the pivot entry; the division by the old one is exact (Bareiss).  A
-    negative pivot, possible only when driving an artificial out, negates
-    every row so the denominator stays positive.  Returns the new one.
+    negative pivot, from driving an artificial out or in row reduction,
+    negates every row so the denominator stays positive.  Returns it.
     """
     prow = rows[r]
     p = col[r]
@@ -332,27 +333,26 @@ def satisfies(lp: SimplexLP, point: Sequence[Fraction]) -> bool:
 # --- exact linear algebra helpers -----------------------------------------
 
 def _row_reduce(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Rows are scaled to integers, which keeps their span and so its reduced
+    form, and Gauss-Jordan runs on them through :func:`_pivot`; each entry
+    is divided by the final common denominator once.
+    """
+    rows = [_scaled(list(r))[0] for r in rows]
+    pivots, d, r = [], 1, 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pivval = rows[r][col]
-        rows[r] = [v / pivval for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
+        pivots.append(col)  # _pivot records the column as row r's basic one
+        d = _pivot(rows, pivots, d, r, col, [row[col] for row in rows])
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return [[Fraction(v, d) for v in row] for row in rows[:r]], pivots
 
 
 def _solve_affine(eq_rows, eq_rhs, n):

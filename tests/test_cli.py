@@ -75,6 +75,19 @@ class TestBasicCommands:
         code2, out2 = run_cli(["vertices", dice_model])
         assert (code1, out1) == (code2, out2)
 
+    def test_vertices_past_the_cap_is_one_json_line(self, tmp_path, capsys):
+        item = {"gamble": {"values": ["1"] + ["0"] * 8}, "lower": "1/20"}
+        model = write(tmp_path, "m9.json", {"space": [str(i) for i in range(9)], "items": [item]})
+        code, out = run_cli(["vertices", model])
+        assert code == 2
+        assert out.endswith("\n") and len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert "result" not in payload
+        assert payload["diagnostics"] == [
+            "precondition violated: credal vertex enumeration capped at 8 outcomes"
+        ]
+        assert capsys.readouterr().err == ""
+
 
 class TestInvarianceCommands:
     def test_invariance_report(self, tmp_path, vacuous3):

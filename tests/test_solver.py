@@ -794,3 +794,95 @@ class TestFacetsFromThePolar:
         assert sorted(triangle) == sorted(
             [((F(1), F(0)), F(0)), ((F(0), F(1)), F(0)), ((F(-1), F(-1)), F(-1))]
         )
+
+
+def fraction_row_reduce(rows):
+    """Reference reduced row echelon form by Fraction Gauss-Jordan.
+
+    The elimination ``_row_reduce`` ran before it became fraction-free:
+    each pivot row is divided by its pivot, then cleared from the others.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivval = rows[r][col]
+        rows[r] = [v / pivval for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+class TestFractionFreeRowReduce:
+    """``_row_reduce`` on the kernel's integer pivot against Fraction elimination."""
+
+    @staticmethod
+    def random_matrix(rng):
+        m, n = rng.randint(0, 6), rng.randint(1, 7)
+        dens = [1] if rng.random() < 0.3 else [1, 2, 3, 5, 12]
+
+        def entry():
+            if rng.random() < 0.3:
+                return F(0)
+            return F(rng.randint(-9, 9), rng.choice(dens))
+
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        for i in range(1, m):
+            roll = rng.random()
+            if roll < 0.2:  # a combination of earlier rows
+                a, b = rng.randrange(i), rng.randrange(i)
+                s, t = F(rng.randint(-3, 3), rng.choice([1, 2])), F(rng.randint(-3, 3))
+                rows[i] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+            elif roll < 0.3:
+                rows[i] = [F(0)] * n
+        return rows
+
+    def test_same_rref_as_fraction_elimination(self, monkeypatch):
+        negative = []
+        pivot = solver._pivot
+
+        def recorded(rows, basis, d, r, k, col):
+            negative.append(col[r] < 0)
+            return pivot(rows, basis, d, r, k, col)
+
+        monkeypatch.setattr(solver, "_pivot", recorded)
+        rng = random.Random(2100)
+        shapes, dependent, zero_rows, mixed = set(), 0, 0, 0
+        for _ in range(1500):
+            rows = self.random_matrix(rng)
+            got = _row_reduce(rows)
+            assert got == fraction_row_reduce(rows)
+            assert all(type(v) is F for row in got[0] for v in row)
+            shapes.add((len(rows), len(rows[0]) if rows else 0))
+            dependent += len(got[0]) < min(len(rows), len(rows[0])) if rows else 0
+            zero_rows += any(not any(row) for row in rows)
+            mixed += len({v.denominator for row in rows for v in row}) > 1
+        assert {m for m, _ in shapes} == set(range(7))
+        assert {n for m, n in shapes if m} == set(range(1, 8))
+        assert min(dependent, zero_rows, mixed) >= 200
+        assert sum(negative) >= 1000
+        assert _row_reduce([]) == fraction_row_reduce([]) == ([], [])
+
+    def test_no_equations_leave_the_whole_space(self):
+        x0, basis = _solve_affine([], [], 3)
+        assert x0 == [F(0)] * 3
+        assert basis == [list(unit_row(3, j)) for j in range(3)]
+
+    def test_inconsistent_system_has_no_solution(self):
+        assert _solve_affine([[F(0)]], [F(1)], 1) is None
+
+    def test_duplicated_row_is_dropped(self):
+        row = [F(2), F(-4, 3)]
+        assert _row_reduce([row + [F(6)], row + [F(6)]]) == ([[F(1), F(-2, 3), F(3)]], [0])
+        assert _solve_affine([row, row], [F(6), F(6)], 2) == ([F(3), F(0)], [[F(2, 3), F(1)]])
