@@ -45,7 +45,7 @@ from .jsonio import (
 from .previsions import avoids_sure_loss, credal_vertices, is_coherent, natural_extension
 from .shift import DEFAULT_M_MAX, DEFAULT_N_MAX, Truncated
 from .shift import lnex_res, lnex_theta, lsamp_theta, unex_theta
-from .exchange import update_counts, count_gamble, counting_map, CategorySpace
+from .exchange import counting_map, predictive_update
 from .choquet import choquet_integral, inner_extension
 
 def report_rational(value: Fraction) -> str:
@@ -248,10 +248,8 @@ def _cmd_exchange(args, report: Report) -> int:
     if args.action != "update":
         raise ValidationError("exchange", f"unknown action {args.action!r}")
     full, observed, prior, query = parse_scenario(report.read(args.scenario))
-    rest = CategorySpace(full.kappa, full.n - len(observed))
+    report.rational(predictive_update(prior, full, observed, query), args.decimal)
     m = counting_map(observed, full.kappa)
-    value = update_counts(prior, full, m, count_gamble(rest, query))
-    report.rational(value, args.decimal)
     report.diagnostics.append(f"observed_counts={','.join(map(str, m))}")
     return report.emit(0)
 

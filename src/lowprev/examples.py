@@ -7,6 +7,7 @@ fails loudly (exit code 2) if any value drifts.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .core import Event, Gamble, Space, Transformation, event, gamble, indicator
@@ -184,10 +185,6 @@ def _three_elements():
             + m4 * min(v)
         )
 
-    import itertools
-
-    from .invariance import credal_weakly_invariant
-
     group = monoid(
         space, [_transposition(space, "1", "2"), Transformation(space, (1, 2, 0))]
     )
@@ -214,8 +211,6 @@ def _possibility():
     _check(rows, "invariant atoms", atoms.partition, (("1", "2"), ("3", "4")))
     ones = gamble(space, [1, 1, 1, 1])
     vacuous = Assessment.vacuous(space)
-    import itertools
-
     all_agree = all(
         possibility_upper(ones, Event(space, frozenset(combo)))
         == upper_extension(vacuous, indicator(Event(space, frozenset(combo))))

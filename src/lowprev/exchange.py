@@ -9,9 +9,10 @@ sufficiency of the count vector, to conditioning the urn model with a
 hypergeometric likelihood through the Generalised Bayes Rule, computed
 here as one exact fractional programme.
 
-The count classes are the core orbits of the position permutations, so
-:func:`exchangeable_from_counts` is the orbit reduction of
-:mod:`lowprev.invariance` (de Finetti's finite representation).
+Every function here reads the count classes, :attr:`CategorySpace.classes`:
+they are the orbits of the position permutations, so the exchangeable
+previsions are those constant on each class (de Finetti's finite
+representation), and :func:`is_exchangeable` asks only for ties in a class.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .solver import (
     polytope_inequalities,
     solve_fractional_min,
 )
-from .transforms import monoid
-from .invariance import strongly_invariant
+from .invariance import _all_at_least, _orbit_means
 
 SEQUENCE_CAP = 4096
 
@@ -107,27 +107,28 @@ class CategorySpace:
     def sequence_counts(self) -> tuple[tuple[int, ...], ...]:
         return tuple(counting_map(s, self.kappa) for s in self.sequences)
 
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Sequence indices of each count class (position orbit), in ``counts`` order."""
+        blocks: dict[tuple, list[int]] = {m: [] for m in self.counts}
+        for i, c in enumerate(self.sequence_counts()):
+            blocks[c].append(i)
+        return tuple(map(tuple, blocks.values()))
+
 
 def uniform_given_count(cs: CategorySpace, f: Gamble, m) -> Fraction:
     """Mean of f over the orderings of composition m (the urn prevision)."""
     m = tuple(m)
-    values = [
-        v for v, c in zip(f.values, cs.sequence_counts()) if c == m
-    ]
-    if not values:
+    if m not in cs.count_index:
         raise ValueError(f"{m} is not a composition of {cs.n} into {cs.kappa} counts")
-    return sum(values) / len(values)
+    return count_gamble(cs, f).values[cs.count_index[m]]
 
 
 def count_gamble(cs: CategorySpace, f: Gamble) -> Gamble:
     """The gamble m -> uniform_given_count(f, m) on the count space."""
-    sums = [ZERO] * len(cs.counts)
-    sizes = [0] * len(cs.counts)
-    for v, c in zip(f.values, cs.sequence_counts()):
-        i = cs.count_index[c]
-        sums[i] += v
-        sizes[i] += 1
-    return Gamble(cs.count_space, tuple(s / n for s, n in zip(sums, sizes)))
+    if f.space != cs.space:
+        raise ValueError("gamble must live on the joint sequence space")
+    return Gamble(cs.count_space, _orbit_means(cs.classes, f))
 
 
 def exchangeable_from_counts(cs: CategorySpace, count_model: Assessment, f: Gamble) -> Fraction:
@@ -137,45 +138,41 @@ def exchangeable_from_counts(cs: CategorySpace, count_model: Assessment, f: Gamb
     return natural_extension(count_model, count_gamble(cs, f))
 
 
+def _ties(cs: CategorySpace) -> list[tuple[Gamble, Fraction]]:
+    """(1_a - 1_b, 0) and (1_b - 1_a, 0) for consecutive a, b of each count class."""
+    ties = []
+    for block in sorted(cs.classes):  # by first sequence
+        for a, b in zip(block, block[1:]):
+            diff = [ZERO] * len(cs.space)
+            diff[a], diff[b] = ONE, -ONE
+            gam = Gamble(cs.space, tuple(diff))
+            ties += [(gam, ZERO), (-gam, ZERO)]
+    return ties
+
+
 def exchangeable_assessment(cs: CategorySpace, count_model: Assessment) -> Assessment:
     """The joint assessment whose credal set is the urn mixture polytope.
 
-    Pairs of opposite bounds force equal mass on sequences with equal
-    counts; each count bound is lifted through the counting map.  The
-    induced natural extension agrees with :func:`exchangeable_from_counts`
-    on every gamble.
+    The ties of each count class force equal mass along it; each count
+    bound is lifted through the counting map.  The induced natural
+    extension agrees with :func:`exchangeable_from_counts` on every gamble.
     """
-    space = cs.space
-    items = []
-    by_count: dict[tuple, list[int]] = {}
-    for i, c in enumerate(cs.sequence_counts()):
-        by_count.setdefault(c, []).append(i)
-    for idxs in by_count.values():
-        for a, b in zip(idxs, idxs[1:]):
-            diff = [ZERO] * len(space)
-            diff[a], diff[b] = ONE, -ONE
-            gam = Gamble(space, tuple(diff))
-            items.append((gam, ZERO))
-            items.append((-gam, ZERO))
-    for g, bound in count_model.items:
-        lifted = Gamble(
-            space,
-            tuple(g.values[cs.count_index[c]] for c in cs.sequence_counts()),
-        )
-        items.append((lifted, bound))
-    return Assessment(space, tuple(items))
+    if count_model.space != cs.count_space:
+        raise ValueError("count model must live on the count space")
+    class_of = [0] * len(cs.space)
+    for k, block in enumerate(cs.classes):
+        for i in block:
+            class_of[i] = k
+    lifted = [
+        (Gamble(cs.space, tuple(g.values[k] for k in class_of)), bound)
+        for g, bound in count_model.items
+    ]
+    return Assessment(cs.space, tuple(_ties(cs) + lifted))
 
 
 def count_marginals(cs: CategorySpace, points) -> set:
     """Project sequence-space mass functions to count-space mass functions."""
-    out = set()
-    seq_counts = cs.sequence_counts()
-    for p in points:
-        q = [ZERO] * len(cs.counts)
-        for v, c in zip(p, seq_counts):
-            q[cs.count_index[c]] += v
-        out.add(tuple(q))
-    return out
+    return {tuple(sum((p[i] for i in block), ZERO) for block in cs.classes) for p in points}
 
 
 def position_permutation_generators(cs: CategorySpace) -> list[Transformation]:
@@ -205,10 +202,13 @@ def position_permutation_generators(cs: CategorySpace) -> list[Transformation]:
 
 
 def is_exchangeable(cs: CategorySpace, assessment: Assessment) -> bool:
-    """Strong invariance under all position permutations, via generators."""
+    """Strong invariance under all position permutations: the class ties hold.
+
+    Raises :class:`SureLossError` when the credal set is empty.
+    """
     if assessment.space != cs.space:
         raise ValueError("assessment must live on the joint sequence space")
-    return strongly_invariant(assessment, monoid(cs.space, position_permutation_generators(cs)))
+    return _all_at_least(assessment, _ties(cs))
 
 
 def category_permutation(cs: CategorySpace, perm) -> Transformation:

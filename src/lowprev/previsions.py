@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import Gamble, Space, _check_same_space
@@ -76,10 +77,26 @@ class Assessment:
             items.append((-ind, -p[i]))
         return cls(space, tuple(items))
 
+    @cached_property
+    def _strongest(self) -> dict[tuple, tuple]:
+        """Values and strongest bound of each distinct gamble, in first-seen order.
+
+        Keyed on (numerator, denominator) pairs: no Fraction hash's modular inverse.
+        """
+        bounds: dict[tuple, tuple] = {}
+        for g, b in self.items:
+            key = tuple(map(Fraction.as_integer_ratio, g.values))
+            old = bounds.get(key)
+            if old is None or b > old[1]:
+                bounds[key] = (g.values, b)
+        return bounds
+
     def bound(self, f: Gamble) -> Fraction | None:
         """The strongest assessed bound for a gamble, None if unassessed."""
-        bounds = [b for g, b in self.items if g == f]
-        return max(bounds) if bounds else None
+        if f.space != self.space:
+            return None
+        found = self._strongest.get(tuple(map(Fraction.as_integer_ratio, f.values)))
+        return None if found is None else found[1]
 
     def domain(self) -> set[Gamble]:
         return {g for g, _ in self.items}
@@ -96,15 +113,7 @@ class CredalSet:
     def __init__(self, assessment: Assessment):
         self.assessment = assessment
         self.space = assessment.space
-        n = self.space.size
-        # keyed on each value's (numerator, denominator): a tuple of those
-        # hashes without the modular inverse every Fraction hash computes
-        bounds: dict[tuple, tuple] = {}
-        for g, b in assessment.items:
-            key = tuple(map(Fraction.as_integer_ratio, g.values))
-            old = bounds.get(key)
-            if old is None or b > old[1]:
-                bounds[key] = (g.values, b)
+        bounds = assessment._strongest
         rows = []
         merged = set()
         for key, (coeffs, b) in bounds.items():
@@ -116,7 +125,7 @@ class CredalSet:
                 merged.add(neg)
             else:
                 rows.append(Constraint(coeffs, ">=", b))
-        self.lp = SimplexLP(n, None, tuple(rows))
+        self.lp = SimplexLP(self.space.size, None, tuple(rows))
 
     def is_empty(self) -> bool:
         return solve_min(self.lp).status == "infeasible"
@@ -159,14 +168,13 @@ def upper_extension(assessment: Assessment, g: Gamble) -> Fraction:
 
 
 def is_coherent(assessment: Assessment) -> bool:
-    """Avoiding sure loss plus reproduction of every assessed bound."""
+    """Avoiding sure loss plus reproduction of every assessed bound.
+
+    An empty credal set's minima have no value, which equals no bound, and
+    with no items the credal set is the whole simplex.
+    """
     credal = CredalSet(assessment)
-    if credal.is_empty():
-        return False
-    for f, b in assessment.items:
-        if credal.minimise(f).value != b:
-            return False
-    return True
+    return all(credal.minimise(f).value == b for f, b in assessment.items)
 
 
 def coherent_version(assessment: Assessment) -> Assessment:

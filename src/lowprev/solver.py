@@ -446,10 +446,6 @@ def enumerate_vertices(lp: SimplexLP, cap: int = VERTEX_CAP) -> frozenset:
             seen[key] = (key, h_norm)
     rows = list(seen.values())
 
-    if d == 0:
-        point = tuple(x0)
-        return frozenset([point]) if satisfies(lp, point) else frozenset()
-
     vertices = set()
     for combo in itertools.combinations(range(len(rows)), d):
         system = [rows[i][0] for i in combo]

@@ -10,6 +10,8 @@ from lowprev import (
     CategorySpace,
     Gamble,
     PositivityError,
+    Space,
+    SureLossError,
     atom_size,
     count_gamble,
     counting_map,
@@ -347,3 +349,197 @@ class TestCategoryPermutations:
         assert act(cs.space.outcomes[cs.sequences.index((1, 2))]) == cs.space.outcomes[
             cs.sequences.index((2, 1))
         ]
+
+
+# ---------------------------------------------------------------------------
+# the count classes as the one partition
+# ---------------------------------------------------------------------------
+
+SHAPES = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4))
+
+
+def sure_loss_assessment(rng, space) -> Assessment:
+    f = rnd_gamble(rng, space)
+    return Assessment(space, ((f, f.sup() + 1),))
+
+
+def old_uniform_given_count(cs, f, m):
+    """The count-keyed body: the mean of f over the sequences counting to m."""
+    m = tuple(m)
+    values = [v for v, c in zip(f.values, cs.sequence_counts()) if c == m]
+    return sum(values) / len(values)
+
+
+def old_count_gamble(cs, f):
+    sums = [F(0)] * len(cs.counts)
+    sizes = [0] * len(cs.counts)
+    for v, c in zip(f.values, cs.sequence_counts()):
+        i = cs.count_index[c]
+        sums[i] += v
+        sizes[i] += 1
+    return Gamble(cs.count_space, tuple(s / n for s, n in zip(sums, sizes)))
+
+
+def old_count_marginals(cs, points):
+    out = set()
+    for p in points:
+        q = [F(0)] * len(cs.counts)
+        for v, c in zip(p, cs.sequence_counts()):
+            q[cs.count_index[c]] += v
+        out.add(tuple(q))
+    return out
+
+
+def old_exchangeable_assessment(cs, count_model):
+    """Ties grouped by count in order of first sequence, then lifted bounds."""
+    space = cs.space
+    items = []
+    by_count = {}
+    for i, c in enumerate(cs.sequence_counts()):
+        by_count.setdefault(c, []).append(i)
+    for idxs in by_count.values():
+        for a, b in zip(idxs, idxs[1:]):
+            diff = [F(0)] * len(space)
+            diff[a], diff[b] = F(1), F(-1)
+            gam = Gamble(space, tuple(diff))
+            items.append((gam, F(0)))
+            items.append((-gam, F(0)))
+    for g, bound in count_model.items:
+        lifted = Gamble(space, tuple(g.values[cs.count_index[c]] for c in cs.sequence_counts()))
+        items.append((lifted, bound))
+    return Assessment(space, tuple(items))
+
+
+def exchangeable_point(rng, cs):
+    """Random class weights spread uniformly over each class."""
+    weights = rnd_interior_point(rng, len(cs.counts))
+    p = [F(0)] * len(cs.space)
+    for w, block in zip(weights, cs.classes):
+        for i in block:
+            p[i] = w / len(block)
+    return p
+
+
+class TestCountClasses:
+    def test_classes_are_the_position_orbits(self):
+        from lowprev.transforms import core_orbits
+
+        for kappa, n in SHAPES + ((2, 5), (4, 2)):
+            cs = CategorySpace(kappa, n)
+            orbits = core_orbits(monoid(cs.space, position_permutation_generators(cs)))
+            assert set(cs.classes) == set(orbits)
+
+    def test_classes_follow_counts_order(self):
+        for kappa, n in SHAPES:
+            cs = CategorySpace(kappa, n)
+            assert len(cs.classes) == len(cs.counts)
+            for m, block in zip(cs.counts, cs.classes):
+                assert len(block) == atom_size(m)
+                assert all(counting_map(cs.sequences[i], kappa) == m for i in block)
+
+    def test_count_keyed_oracles(self):
+        rng = random.Random(22)
+        for kappa, n in SHAPES:
+            cs = CategorySpace(kappa, n)
+            for _ in range(3):
+                f = rnd_gamble(rng, cs.space)
+                assert count_gamble(cs, f) == old_count_gamble(cs, f)
+                for m in cs.counts:
+                    assert uniform_given_count(cs, f, m) == old_uniform_given_count(cs, f, m)
+                prior = rnd_count_assessment(rng, cs, max_items=3)
+                joint = exchangeable_assessment(cs, prior)
+                assert joint.items == old_exchangeable_assessment(cs, prior).items
+                points = [rnd_interior_point(rng, len(cs.space)) for _ in range(3)]
+                assert count_marginals(cs, points) == old_count_marginals(cs, points)
+
+    def test_uniform_given_count_rejects_a_non_composition(self):
+        cs = CategorySpace(2, 2)
+        f = rnd_gamble(random.Random(1), cs.space)
+        with pytest.raises(ValueError):
+            uniform_given_count(cs, f, (3, 0))
+        with pytest.raises(ValueError):
+            uniform_given_count(cs, f, (1, 1, 0))
+
+
+class TestSpaceChecks:
+    """A gamble or count model on another space of the right size is refused."""
+
+    def test_foreign_joint_gamble(self):
+        cs = CategorySpace(2, 2)
+        foreign = Gamble(Space(("a", "b", "c", "d")), (F(1), F(2), F(3), F(4)))
+        with pytest.raises(ValueError):
+            count_gamble(cs, foreign)
+        with pytest.raises(ValueError):
+            uniform_given_count(cs, foreign, (1, 1))
+        with pytest.raises(ValueError):
+            exchangeable_from_counts(cs, Assessment.vacuous(cs.count_space), foreign)
+
+    def test_foreign_query_for_the_update(self):
+        full = CategorySpace(2, 3)
+        prior = Assessment.vacuous(full.count_space)
+        foreign = Gamble(Space(("a", "b", "c", "d")), (F(1), F(0), F(0), F(1)))
+        with pytest.raises(ValueError):
+            predictive_update(prior, full, (1,), foreign)
+
+    def test_foreign_count_model(self):
+        cs = CategorySpace(2, 2)
+        space = Space(("x", "y", "z"))
+        model = Assessment(space, ((Gamble(space, (F(1), F(0), F(0))), F(1, 4)),))
+        with pytest.raises(ValueError):
+            exchangeable_assessment(cs, model)
+
+
+class TestExchangeabilityFromTheTies:
+    """The ties decide strong invariance under the position permutations."""
+
+    def case(self, rng, cs, kind):
+        if kind == "joint":
+            return exchangeable_assessment(cs, rnd_count_assessment(rng, cs, max_items=3))
+        if kind == "untied":
+            joint = exchangeable_assessment(cs, rnd_count_assessment(rng, cs, max_items=3))
+            ties = 2 * (len(cs.space) - len(cs.counts))
+            if not ties:
+                return joint
+            drop = rng.randrange(ties)
+            return Assessment(cs.space, joint.items[:drop] + joint.items[drop + 1:])
+        if kind == "precise":
+            return Assessment.from_prevision(cs.space, exchangeable_point(rng, cs))
+        if kind == "joint plus":
+            anchor = exchangeable_point(rng, cs)
+            joint = exchangeable_assessment(cs, rnd_count_assessment(rng, cs, max_items=2))
+            extra = []
+            for _ in range(2):
+                f = rnd_gamble(rng, cs.space)
+                extra.append((f, sum(a * v for a, v in zip(anchor, f.values))))
+            return Assessment(cs.space, joint.items + tuple(extra))
+        if kind == "sure loss":
+            return sure_loss_assessment(rng, cs.space)
+        return rnd_asl_assessment(rng, cs.space, max_items=3)
+
+    @staticmethod
+    def verdict(decide):
+        try:
+            return decide()
+        except SureLossError:
+            return SureLossError
+
+    def test_against_strong_invariance_on_seeded_models(self):
+        rng = random.Random(2009)
+        kinds = ("joint", "untied", "precise", "joint plus", "random", "sure loss")
+        seen = Counter()
+        for i in range(324):
+            cs = CategorySpace(*SHAPES[i % len(SHAPES)])
+            kind = kinds[i % len(kinds)]
+            a = self.case(rng, cs, kind)
+            positions = monoid(cs.space, position_permutation_generators(cs))
+            expected = self.verdict(lambda: strongly_invariant(a, positions))
+            assert self.verdict(lambda: is_exchangeable(cs, a)) == expected
+            seen[kind, expected] += 1
+        assert {v for _, v in seen} == {True, False, SureLossError}
+        assert seen["untied", False] > 0 and seen["precise", True] > 0
+
+    def test_two_categories_seven_variables(self):
+        cs = CategorySpace(2, 7)
+        joint = exchangeable_assessment(cs, rnd_count_assessment(random.Random(7), cs, max_items=3))
+        assert is_exchangeable(cs, joint)
+        assert not is_exchangeable(cs, Assessment(cs.space, joint.items[2:]))

@@ -512,3 +512,37 @@ class TestSureLossVertexEquivalence:
                 with pytest.raises(SLE):
                     credal_vertices(a)
         assert seen[True] >= 5 and seen[False] >= 5
+
+
+class TestStrongestBoundIndex:
+    """``Assessment.bound`` agrees with a scan of every item."""
+
+    @staticmethod
+    def scanned(assessment, f):
+        bounds = [b for g, b in assessment.items if g == f]
+        return max(bounds) if bounds else None
+
+    def test_against_the_linear_scan(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            space = Space(tuple(str(i) for i in range(n)))
+            foreign = Space(tuple(f"x{i}" for i in range(n)))
+            gambles = [rnd_gamble(rng, space, lo=-2, hi=2, max_den=2) for _ in range(rng.randint(0, 4))]
+            items = [(rng.choice(gambles), rnd_frac(rng)) for _ in range(rng.randint(0, 8))] if gambles else []
+            a = Assessment(space, tuple(items))
+            queries = gambles + [-g for g in gambles] + [rnd_gamble(rng, space, lo=-2, hi=2, max_den=2)]
+            queries += [Gamble(foreign, g.values) for g in gambles]
+            for f in queries:
+                assert a.bound(f) == self.scanned(a, f)
+            if items:
+                assert any(a.bound(f) is not None for f in gambles)
+
+    def test_foreign_space_is_unassessed(self):
+        space, foreign = Space(("a", "b")), Space(("c", "d"))
+        f = gamble(space, [1, 0])
+        a = Assessment(space, ((f, F(1, 3)), (f, F(1, 2)), (f, F(-1))))
+        assert a.bound(f) == F(1, 2)
+        assert a.bound(gamble(space, [F(2, 2), 0])) == F(1, 2)
+        assert a.bound(Gamble(foreign, f.values)) is None
+        assert a.bound(-f) is None
